@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -226,6 +227,56 @@ def _merge_intervals(intervals):
     return [(u, v) for u, v in merged if u < v]
 
 
+# Singularity subtraction (Helsing & Ojala, J. Comput. Phys. 227, 2008).  Over a
+# window around the projection x_j of an evaluation point z_j onto a support,
+# the density enters as rho(s) - rho(x_j), and rho(x_j) times the closed-form
+# integral of the kernel over the window is added back.  The remainder stays
+# bounded at the scale |Im z_j|, so neither cost nor accuracy depends on the
+# distance to the boundary.  Only points whose peak clears the support
+# endpoints by this factor are subtracted: near a singular endpoint the
+# added-back term would cancel against the quadrature tolerance.
+_CLEARANCE = 100.0
+
+
+def _subtracted_integrand(d, kernel, rho=None):
+    """s -> (d(s) - rho_j) K(s, z_j), one column per point; no rho, no subtraction."""
+    def integrand(s):
+        s = np.asarray(s, dtype=float)
+        dens = d(s)[:, None]
+        return (dens if rho is None else dens - rho) * kernel(s)
+    return integrand
+
+
+def _windowed_integral(d, kernel, windows, proj, rho, window_integral,
+                       gap_quad, window_quad):
+    """Integral of d(s) K(s, z_j) over the support of d, one entry per point.
+
+    The merged windows run through ``window_quad`` and the gaps between them
+    through ``gap_quad``.  Points j whose projection proj_j lies in a window
+    and whose rho_j is nonzero are subtracted there: the quadrature sees
+    (d(s) - rho_j) K(s, z_j), and rho_j * window_integral(a, b, j) is added.
+    """
+    lo, hi = d.support
+    plain = _subtracted_integrand(d, kernel)
+    total = np.zeros(proj.shape, dtype=complex)
+    cursor = lo
+    for a, b in _merge_intervals(windows):
+        if cursor < a:
+            part, _ = gap_quad(plain, cursor, a)
+            total = total + part
+        rho_w = None if rho is None else np.where((a <= proj) & (proj <= b), rho, 0.0)
+        part, _ = window_quad(_subtracted_integrand(d, kernel, rho_w), a, b)
+        total = total + part
+        if rho_w is not None:
+            cols = np.flatnonzero(rho_w)
+            total[cols] += rho_w[cols] * window_integral(a, b, cols)
+        cursor = b
+    if cursor < hi:
+        part, _ = gap_quad(plain, cursor, hi)
+        total = total + part
+    return total
+
+
 def cauchy_eval(measure: BoundaryMeasure, constant, z, *, atol: float = 1e-10):
     """Evaluate c + integral of (1+sz)/(s-z) dlambda(s) off the extended real line."""
     arr, scalar = _as_complex_array(z)
@@ -238,42 +289,41 @@ def cauchy_eval(measure: BoundaryMeasure, constant, z, *, atol: float = 1e-10):
             out += a.mass * flat
         else:
             out += a.mass * (1.0 + a.loc * flat) / (a.loc - flat)
+    x, y = flat.real, np.abs(flat.imag)
+    points = list(zip(x.tolist(), y.tolist()))
+    peak_clear = _CLEARANCE * y
+
+    def kernel(s):
+        return (1.0 + s[:, None] * flat[None, :]) / (s[:, None] - flat[None, :])
+
+    def window_integral(u, v, cols):
+        # K = z + (1+z^2)/(s-z); Im(s - z) keeps one sign, so the principal
+        # logarithm is continuous along [u, v].
+        zc = flat[cols]
+        return zc * (v - u) + (1.0 + zc * zc) * (np.log(v - zc) - np.log(u - zc))
+
     for d in measure.densities:
         lo, hi = d.support
-
-        def integrand(s, d=d):
-            s = np.asarray(s, dtype=float)
-            kern = (1.0 + s[:, None] * flat[None, :]) / (s[:, None] - flat[None, :])
-            return d(s)[:, None] * kern
-
-        # The kernel peaks with width |Im z| where an evaluation point
-        # projects onto the support.  Such a peak can sit far below the
-        # resolution of the compactified coordinate, so each peak window is
-        # integrated directly in the s variable and only the peak-free
-        # complement goes through the compactification.
-        windows = []
-        for zj in flat:
-            xj, yj = zj.real, abs(zj.imag)
-            # The window must cover the kernel peak (width |Im z|) and every
-            # flank scale the compactified coordinate cannot represent, which
-            # grows like eps * (1 + x^2).
+        dist = np.minimum(x - lo, hi - x)
+        sub = peak_clear < dist
+        windows, rho = [], None
+        if sub.any():
+            # The window must be wide: the 1/(s - x) flank beside it has to be
+            # smooth at the scale the tail map resolves.
+            half = np.minimum(np.maximum(50.0 * y, 0.25 * (1.0 + np.abs(x))), 0.5 * dist)
+            windows = list(zip((x - half)[sub].tolist(), (x + half)[sub].tolist()))
+            rho = np.zeros(flat.shape, dtype=complex)
+            rho[sub] = d(x[sub])
+        # Unsubtracted points integrate their peak directly, in a window in the
+        # s variable covering the peak (width |Im z|) and every flank scale the
+        # tail map cannot represent, which grows like eps * (1 + x^2).
+        for (xj, yj), subtracted in zip(points, sub.tolist()):
             w = max(50.0 * yj, 1e-13 * (1.0 + xj * xj))
-            if yj < 5.0 and xj + w > lo and xj - w < hi:
+            if not subtracted and yj < 5.0 and xj + w > lo and xj - w < hi:
                 windows.append((max(lo, xj - w), min(hi, xj + w)))
-        windows = _merge_intervals(windows)
-        val = np.zeros(flat.shape, dtype=complex)
-        cursor = lo
-        for u, v in windows:
-            if cursor < u:
-                part, _ = quad_real_line(integrand, cursor, u, atol=atol)
-                val = val + part
-            part, _ = adaptive_quad(integrand, u, v, atol=atol, min_panels=4)
-            val = val + part
-            cursor = v
-        if cursor < hi:
-            part, _ = quad_real_line(integrand, cursor, hi, atol=atol)
-            val = val + part
-        out += val
+        out += _windowed_integral(d, kernel, windows, x, rho, window_integral,
+                                  partial(quad_real_line, atol=atol),
+                                  partial(adaptive_quad, atol=atol, min_panels=4))
     out = out.reshape(np.atleast_1d(arr).shape)
     return complex(out.ravel()[0]) if scalar else out
 
@@ -286,16 +336,49 @@ def _disc_herglotz_eval(measure: BoundaryMeasure, constant, atol=1e-10):
         for a in measure.atoms:
             zeta = np.exp(1j * a.loc)
             out += a.mass * (zeta + flat) / (zeta - flat) / (2.0 * np.pi)
+        peak_clear = _CLEARANCE * np.abs(1.0 - np.abs(flat))
+
+        def kernel(t):
+            zeta = np.exp(1j * t)[:, None]
+            return (zeta + flat[None, :]) / (zeta - flat[None, :])
+
         for d in measure.densities:
             lo, hi = d.support
+            theta = lo + np.mod(np.angle(flat) - lo, 2.0 * np.pi)
 
-            def integrand(t, d=d):
-                t = np.asarray(t, dtype=float)
-                zeta = np.exp(1j * t)[:, None]
-                return d(t)[:, None] * (zeta + flat[None, :]) / (zeta - flat[None, :])
+            if hi - lo == 2.0 * np.pi:
+                # A full period has no endpoints: every point subtracts over
+                # the whole support, where the kernel integrates to exactly
+                # 2 pi (|z| < 1) or -2 pi (|z| > 1).
+                sub = np.ones(flat.shape, dtype=bool)
+                windows = [(lo, hi)]
 
-            val, _ = adaptive_quad(integrand, lo, hi, atol=atol)
-            out += val / (2.0 * np.pi)
+                def window_integral(u, v, cols):
+                    return np.where(np.abs(flat[cols]) < 1.0, 2.0 * np.pi, -2.0 * np.pi)
+            else:
+                dist = np.minimum(theta - lo, hi - theta)
+                sub = peak_clear < dist
+                half = np.minimum(0.5 * np.pi, 0.5 * dist)
+                windows = list(zip((theta - half)[sub].tolist(), (theta + half)[sub].tolist()))
+
+                def window_integral(u, v, cols):
+                    # Antiderivative -t - 2i log(e^{it} - z).  A merged window
+                    # is shorter than 2 pi; both of its sides of theta are cut
+                    # in quarters, under pi/2 each, on which arg(e^{it} - z)
+                    # turns by less than pi, so the principal log of the ratio
+                    # of the end values of each piece is its increment.
+                    tc = theta[cols]
+                    frac = np.linspace(0.0, 1.0, 5)[:, None]
+                    t = np.concatenate([u + (tc - u) * frac, tc + (v - tc) * frac[1:]])
+                    w = np.exp(1j * t) - flat[cols]
+                    return -(v - u) - 2j * np.sum(np.log(w[1:] / w[:-1]), axis=0)
+            rho = None
+            if sub.any():
+                rho = np.zeros(flat.shape, dtype=complex)
+                rho[sub] = d(theta[sub])
+            quad = partial(adaptive_quad, atol=atol)
+            out += _windowed_integral(d, kernel, windows, theta, rho, window_integral,
+                                      quad, quad) / (2.0 * np.pi)
         return out.reshape(np.atleast_1d(z).shape)
     return fn
 

@@ -148,16 +148,25 @@ class BoundaryMeasure:
         locs = [a.loc for a in atoms]
         if len(set(locs)) != len(locs):
             raise SpecError("atom locations must be pairwise distinct")
-        if not self.mixed_ok:
+        if not self.mixed_ok and self.densities:
+            # Supports sorted by left end, with the running maximum of their
+            # right ends: the supports that can hold an atom are found by
+            # walking left from the last one starting before it, and the walk
+            # stops where no support further left reaches the atom.
+            pieces = sorted(self.densities, key=lambda d: d.support[0])
+            los = np.array([d.support[0] for d in pieces])
+            reach = np.maximum.accumulate([d.support[1] for d in pieces])
             for a in atoms:
                 if math.isinf(a.loc):
                     continue
-                for d in self.densities:
-                    lo, hi = d.support
-                    if lo < a.loc < hi and abs(complex(d(np.array([a.loc]))[0])) > 0.0:
+                j = int(np.searchsorted(los, a.loc)) - 1
+                while j >= 0 and reach[j] > a.loc:
+                    d = pieces[j]
+                    if d.support[1] > a.loc and abs(complex(d(np.array([a.loc]))[0])) > 0.0:
                         raise SpecError(
                             f"atom at {a.loc} sits inside a density support with nonzero "
                             "density; pass mixed_ok=True to permit")
+                    j -= 1
 
     def total_mass(self) -> complex:
         """lambda of the whole boundary: atom masses plus density integrals."""

@@ -71,25 +71,23 @@ class ReconstructionResult:
     window_truncated: bool
 
 
-def _exclusion_radius(spec: ReconstructionSpec, sigma: float, others,
-                      has_mass: bool) -> float:
-    """Half-width of the density-scan gap around an exceptional point.
+def _exclusion_radii(spec: ReconstructionSpec, sigmas: np.ndarray,
+                     has_mass: np.ndarray) -> np.ndarray:
+    """Half-widths of the density-scan gaps around the sorted exceptional points.
 
     A point carrying mass contaminates pointwise density limits out to the
     largest height the capped extrapolation tableau uses, so the gap must
     clear that scale.  A massless exceptional point only pins a candidate; the
     density continues through it and the gap stays at the floor so no real
-    mass is truncated.  Other exceptional points bound the gap from above.
+    mass is truncated.  The nearest other exceptional point, a neighbour in
+    sorted order, bounds the gap from above.
     """
-    r = spec.exclusion_floor
-    if has_mass:
-        sched = spec.schedule
-        y_eff = sched.y0 * sched.ratio ** max(0, sched.steps - 1 - sched.order)
-        r = max(r, 3.2 * y_eff)
-    gaps = [abs(sigma - x) for x in others if x != sigma and math.isfinite(x)]
-    if gaps:
-        r = min(r, 0.45 * min(gaps))
-    return r
+    sched = spec.schedule
+    y_eff = sched.y0 * sched.ratio ** max(0, sched.steps - 1 - sched.order)
+    r = np.where(has_mass, max(spec.exclusion_floor, 3.2 * y_eff), spec.exclusion_floor)
+    gaps = np.diff(sigmas)
+    nearest = np.minimum(np.append(gaps, INF), np.insert(gaps, 0, INF))
+    return np.minimum(r, 0.45 * nearest)
 
 
 def _decade_edges(lo: float, hi: float, ratio: float):
@@ -182,9 +180,8 @@ def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> Reconstruction
 
     mass_floor = 1e-9
     mass_at = {a.loc: a.mass for a in atoms}
-    radii = {s: _exclusion_radius(spec, s, sigmas,
-                                  abs(mass_at.get(s, 0j)) > mass_floor)
-             for s in sigmas}
+    has_mass = np.array([abs(mass_at.get(s, 0j)) > mass_floor for s in sigmas], dtype=bool)
+    radii = dict(zip(sigmas, _exclusion_radii(spec, np.array(sigmas), has_mass).tolist()))
     cut_points = [lo]
     for s in sigmas:
         cut_points.extend((s - radii[s], s + radii[s]))

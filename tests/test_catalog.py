@@ -1,11 +1,14 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from herglotz import (Atom, BoundaryMeasure, CatalogSpec, catalog_build,
                       cauchy_eval, cauchy_kernel, conjugate, invert_variable,
                       principal_log, principal_power, star_reflect)
+from herglotz import catalog, quadrature
 from herglotz.errors import DomainError, SpecError
-from herglotz.measures import DensityPart
+from herglotz.measures import DensityPart, density_from_descriptor
 
 
 def test_principal_log_values():
@@ -215,3 +218,113 @@ def test_spec_json_roundtrip():
     assert abs(f1(1 + 2j) - f2(1 + 2j)) < 1e-15
     p = CatalogSpec.from_json({"kind": "power", "p": [0.5, 0.0]})
     assert catalog_build(p)(1j) == pytest.approx(np.exp(1j * np.pi / 4))
+
+
+def _power_measure(p):
+    p = complex(p)
+    dens = density_from_descriptor({"kind": "catalog-power", "p": [p.real, p.imag],
+                                    "support": [-np.inf, 0.0]})
+    return BoundaryMeasure((), (dens,)), complex(np.cos(np.pi * p / 2))
+
+
+@pytest.fixture
+def panel_count(monkeypatch):
+    """Counts Gauss-Kronrod panels evaluated while the test runs."""
+    count = [0]
+    panel = quadrature._panel
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return panel(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_panel", counted)
+    return count
+
+
+def _panels(count, fn):
+    count[0] = 0
+    value = fn()
+    return value, count[0]
+
+
+def test_cauchy_eval_power_density_near_boundary(panel_count):
+    # z**p as the Cauchy transform of its boundary density, from Im z = 1 down
+    # to 1e-12 on either side, out to |x| = 1e6 and next to the singular
+    # endpoint 0; the cost at 1e-12 stays within 10x of the cost at 1.
+    for p in (0.5, -0.6, 0.3 + 0.4j, 0.7 - 0.4j):
+        m, c = _power_measure(p)
+        for x in (-1e6, -1e3, -1.0, -1e-2, -1e-6, 1e-3, 1.0, 1e4):
+            panels = {}
+            for y in (1.0, 1e-4, 1e-9, 1e-12, -1e-12):
+                z = complex(x, y)
+                value, panels[y] = _panels(panel_count, lambda: cauchy_eval(m, c, z))
+                ref = np.power(z, complex(p))
+                assert abs(value - ref) <= 1e-8 * (1.0 + abs(ref)), (p, z)
+            assert max(panels[1e-12], panels[-1e-12]) <= 10 * panels[1.0], (p, x)
+
+
+def test_cauchy_eval_deep_cost_and_error_budget(panel_count, monkeypatch):
+    # Panel counts close to the axis stay within 10x of the count at Im z = 1,
+    # and every quadrature inside meets its own tolerance.
+    adaptive_quad = quadrature.adaptive_quad
+    signature = inspect.signature(adaptive_quad)
+    met = []
+
+    def checked(*args, **kwargs):
+        value, err = adaptive_quad(*args, **kwargs)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        tol = max(bound.arguments["atol"],
+                  bound.arguments["rtol"] * float(np.max(np.abs(value))))
+        met.append(err <= tol)
+        return value, err
+
+    monkeypatch.setattr(quadrature, "adaptive_quad", checked)
+    monkeypatch.setattr(catalog, "adaptive_quad", checked)
+    m, c = _power_measure(0.5)
+    _, base = _panels(panel_count, lambda: cauchy_eval(m, c, -1.0 + 1j))
+    for z in (-1.0 + 1e-12j, -1000.0 + 1e-9j):
+        _, deep = _panels(panel_count, lambda: cauchy_eval(m, c, z))
+        assert deep <= 10 * base, (z, deep, base)
+    assert met and all(met)
+
+
+def test_disc_herglotz_near_circle():
+    mpmath = pytest.importorskip("mpmath")
+    c = 0.1j
+    cosine = DensityPart((-np.pi, np.pi), lambda t: np.cos(t).astype(complex))
+    full = catalog_build(CatalogSpec("disc_herglotz", {
+        "measure": BoundaryMeasure((), (cosine,), "circle"), "constant": c}))
+
+    def on_arc(lo, hi):
+        dens = DensityPart((lo, hi), lambda t: (1 + 0.5j) * np.exp(t))
+        return catalog_build(CatalogSpec("disc_herglotz", {
+            "measure": BoundaryMeasure((), (dens,), "circle"), "constant": c}))
+
+    def arc_oracle(z, lo, hi):
+        # 30 digits, with the interval split at the peak.
+        theta = float(np.angle(z))
+        cuts = [lo] + ([theta] if lo < theta < hi else []) + [hi]
+        with mpmath.workdps(30):
+            w = mpmath.mpc(z.real, z.imag)
+            val = mpmath.quad(lambda t: (1 + 0.5j) * mpmath.exp(t) * (mpmath.expj(t) + w)
+                              / (mpmath.expj(t) - w), cuts)
+            return c + complex(val / (2 * mpmath.pi))
+
+    arc = on_arc(-1.0, 2.0)
+    # Angles inside the arc, a hundredth from its end, and outside it.
+    for angle in (1.0, 1.99, 2.5):
+        for gap in (1e-3, 1e-6, 1e-9):
+            for r, ref in ((1.0 - gap, lambda z: c + z),
+                           (1.0 / (1.0 - gap), lambda z: c - 1.0 / z)):
+                z = r * np.exp(1j * angle)
+                for f, want in ((full, ref(z)), (arc, arc_oracle(z, -1.0, 2.0))):
+                    assert abs(f(z) - want) <= 1e-8 * (1.0 + abs(want)), (angle, gap, r)
+    # On the negative axis the peak straddles the ends of the full period.
+    z = -(1.0 - 1e-9)
+    assert abs(full(z) - (c + z)) <= 1e-8
+    # A batch on a long arc: the windows merge into one about 5 radians long,
+    # so arg(e^{it} - z) turns by more than pi on one side of each point.
+    zs = (1.0 - 1e-6) * np.exp(1j * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
+    want = np.array([arc_oracle(z, -3.0, 3.0) for z in zs])
+    assert np.all(np.abs(on_arc(-3.0, 3.0)(zs) - want) <= 1e-8 * (1.0 + np.abs(want)))

@@ -28,6 +28,14 @@ def test_atom_inside_density_rejected():
         BoundaryMeasure((Atom(0.0, 1.0),), (dens,))
     # permitted with the explicit flag
     BoundaryMeasure((Atom(0.0, 1.0),), (dens,), mixed_ok=True)
+    # Overlapping supports: the atom at 3 lies in (-5, 5) only, past (1, 2).
+    wide = DensityPart((-5.0, 5.0), lambda x: np.ones(np.shape(x), dtype=complex))
+    zero = DensityPart((1.0, 2.0), lambda x: np.zeros(np.shape(x), dtype=complex))
+    with pytest.raises(SpecError, match="atom at 3.0"):
+        BoundaryMeasure((Atom(7.0, 1.0), Atom(3.0, 1.0)), (zero, wide))
+    # Support endpoints and zero density do not count as inside.
+    BoundaryMeasure((Atom(-5.0, 1.0), Atom(5.0, 1.0), Atom(1.5, 1.0)), (zero,))
+    BoundaryMeasure((Atom(-5.0, 1.0), Atom(5.0, 1.0)), (wide,))
 
 
 def test_integrate_atom_polynomial():

@@ -170,3 +170,10 @@ def test_reconstruction_diagnostics(minus_inverse):
     assert d["window"] == [-3.0, 3.0]
     assert d["density_nodes"] > 0
     assert "0.0" in d["exclusion_radii"]
+    # Two massless points 1e-3 apart: the nearest neighbour caps each gap at
+    # 0.45 of the distance, below the floor.
+    res = reconstruct(minus_inverse, ReconstructionSpec(window=(-3.0, 3.0),
+                                                        sigma_points=(1.001, 0.0, 1.0)))
+    radii = res.diagnostics["exclusion_radii"]
+    assert radii["1.0"] == radii["1.001"] == 0.45 * (1.001 - 1.0)
+    assert radii["0.0"] == d["exclusion_radii"]["0.0"]
