@@ -23,10 +23,9 @@ from .boundary_limits import (C02Function, normalized_antiderivative,
                               c02_from_callables, boundary_functional,
                               phi_profile, PhiProfile, pair_with_phi,
                               boundary_limit_order_m)
-from .circle_line import (RadiusSchedule, CircleFunctional, to_disc,
-                          circle_measure_functional, circle_limit, GapReport,
-                          consistency_gap, inversion_duality_gap,
-                          joined_distribution_check)
+from .circle_line import (RadiusSchedule, to_disc, circle_measure_functional,
+                          circle_limit, GapReport, consistency_gap,
+                          inversion_duality_gap, joined_distribution_check)
 from .reconstruction import (ReconstructionSpec, ReconstructionResult,
                              reconstruct, resynthesis_residual,
                              tan_sigma_log_masses)

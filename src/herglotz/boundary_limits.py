@@ -28,7 +28,7 @@ from .catalog import AnalyticFunction, star_reflect
 from .errors import NonSimpleBehaviorError, SpecError
 from .extraction import sup_abs_growth
 from .measures import TestFunction
-from .quadrature import adaptive_quad, quad_power_weighted_zero
+from .quadrature import _lobatto, adaptive_quad, quad_power_weighted_zero
 
 __all__ = [
     "C02Function",
@@ -236,13 +236,6 @@ def _interior_kinks(f: AnalyticFunction, a: float, b: float):
             if a < p < b:
                 pts.add(float(p))
     return sorted(pts)
-
-
-def _lobatto(lo: float, hi: float, n: int) -> np.ndarray:
-    k = np.arange(n)
-    ts = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(k * np.pi / (n - 1))
-    ts[0], ts[-1] = lo, hi
-    return ts
 
 
 def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,

@@ -29,7 +29,6 @@ from .quadrature import adaptive_quad, quad_real_line, trapezoid_periodic
 
 __all__ = [
     "RadiusSchedule",
-    "CircleFunctional",
     "to_disc",
     "circle_measure_functional",
     "circle_limit",
@@ -105,23 +104,6 @@ def circle_measure_functional(phi: AnalyticFunction, r: float,
         val, _ = adaptive_quad(integrand, max(lo, -math.pi), min(hi, math.pi),
                                atol=atol)
     return complex(val)
-
-
-class CircleFunctional:
-    """Circle measure functional at fixed radius with memoized test pairings."""
-
-    def __init__(self, phi: AnalyticFunction, r: float):
-        if not 0.0 < r < 1.0:
-            raise SpecError("require 0 < r < 1")
-        self.phi = phi
-        self.r = float(r)
-        self._cache: dict = {}
-
-    def __call__(self, test: TestFunction) -> complex:
-        key = id(test)
-        if key not in self._cache:
-            self._cache[key] = circle_measure_functional(self.phi, self.r, test)
-        return self._cache[key]
 
 
 def circle_limit(phi: AnalyticFunction, test: TestFunction,

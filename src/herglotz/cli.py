@@ -10,18 +10,17 @@ mobius        pushforward of a measure file under a 2x2 real matrix
 phi-profile   boundary-limit profile sampled on a window, written as CSV
 circle-line   circle/line compatibility gap report
 
-Exit codes: 0 success, 1 configuration error, 2 divergent limit or non-simple
-behavior, 3 check failure.  Outputs use shortest-roundtrip float formatting
-and fixed orderings, so identical configurations produce byte-identical files.
-The HERGLOTZ_THREADS environment variable caps worker parallelism; the
-evaluation engine is sequential and deterministic, which honors any cap.
+Each subcommand accepts only the flags it reads; any other flag is a usage
+error.  Exit codes: 0 success, 1 configuration or usage error, 2 divergent
+limit or non-simple behavior, 3 check failure.  Outputs use shortest-roundtrip
+float formatting and fixed orderings, so identical configurations produce
+byte-identical files.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -32,12 +31,12 @@ from .catalog import (AnalyticFunction, CatalogSpec, boundary_atoms_in_window,
 from .circle_line import consistency_gap, inversion_duality_gap
 from .errors import (DomainError, NonConvergentLimitError,
                      NonSimpleBehaviorError, SpecError)
-from .extrapolation import LimitSchedule
+from .extrapolation import DIVERGENCE_FACTOR, LimitSchedule
 from .extraction import (atomic_mass_batch, density_grid, simple_scan,
                          vladimirov_norm)
 from .boundary_limits import phi_profile
-from .measures import (TestFunction, measure_from_json, measure_to_json,
-                       pushforward_mobius, total_variation)
+from .measures import (measure_from_json, measure_to_json, pushforward_mobius,
+                       total_variation)
 from .quadrature import quad_real_line
 from .reconstruction import ReconstructionSpec, reconstruct, resynthesis_residual
 from .sphere import MobiusMatrix
@@ -49,17 +48,6 @@ EXIT_DIVERGED = 2
 EXIT_CHECK_FAILED = 3
 
 VLADIMIROV_COEFF = 0.5 * (1.0 + math.sqrt(2.0))
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("HERGLOTZ_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise SpecError(f"HERGLOTZ_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise SpecError("HERGLOTZ_THREADS must be >= 1")
-    return cap
 
 
 def _load_spec(path) -> AnalyticFunction:
@@ -171,9 +159,8 @@ def cmd_extract(args) -> int:
                [(x, v.real, v.imag, e) for x, v, e in zip(xs, vals, errs)])
     _write_json(out / "atoms.json", atoms)
 
-    tol = args.tol
     bad = [float(x) for x, v, e in zip(xs, vals, errs)
-           if e > 1e-4 * (1.0 + abs(v))]
+           if e > args.tol * (1.0 + abs(v))]
     status = "ok" if not bad else "diverged"
     _write_json(out / "summary.json", {
         "status": status,
@@ -182,8 +169,7 @@ def cmd_extract(args) -> int:
         "atom_sites": atom_sites,
         "max_error_estimate": float(np.max(errs)) if len(xs) else 0.0,
         "divergent_points": bad,
-        "tolerance": tol,
-        "threads_cap": _threads_cap(),
+        "tolerance": args.tol,
     })
     if bad:
         print(f"divergent density tableau at {len(bad)} points", file=sys.stderr)
@@ -216,7 +202,6 @@ def cmd_reconstruct(args) -> int:
         "resynthesis_residual": residual,
         "probes": [[z.real, z.imag] for z in probes],
         "residual_bound": args.residual_bound,
-        "threads_cap": _threads_cap(),
     })
     _write_json(out / "diagnostics.json", diagnostics)
     if residual > args.residual_bound:
@@ -266,11 +251,8 @@ def _check_variation_bound(args, report):
                                 "pass": bool(val.real <= bound)})
 
 
-def _default_window_test(lo: float, hi: float) -> TestFunction:
-    return smooth_bump(lo, hi)
-
-
-def _check_circle_line(args, report):
+def _circle_line_gap(args):
+    """Circle/line gap on the window's smooth bump; windows holding atoms need --force."""
     f = _load_spec(args.spec)
     lo, hi = _parse_window(args.window)
     atoms = boundary_atoms_in_window(f, lo, hi)
@@ -278,7 +260,11 @@ def _check_circle_line(args, report):
         raise SpecError(
             f"window ({lo}, {hi}) contains detected atoms at {atoms.tolist()}; "
             "pass --force to proceed")
-    gap = consistency_gap(f, _default_window_test(lo, hi), _schedule(args))
+    return consistency_gap(f, smooth_bump(lo, hi), _schedule(args))
+
+
+def _check_circle_line(args, report):
+    gap = _circle_line_gap(args)
     report["items"].append({"name": "circle-line", "gap": gap.gap,
                             "circle": [gap.circle.real, gap.circle.imag],
                             "line": [gap.line.real, gap.line.imag],
@@ -288,7 +274,7 @@ def _check_circle_line(args, report):
 def _check_inversion_duality(args, report):
     f = _load_spec(args.spec)
     lo, hi = _parse_window(args.window)
-    gap = inversion_duality_gap(f, _default_window_test(lo, hi), _schedule(args))
+    gap = inversion_duality_gap(f, smooth_bump(lo, hi), _schedule(args))
     report["items"].append({"name": "inversion-duality", "gap": gap.gap,
                             "pass": bool(gap.gap <= args.tol)})
 
@@ -306,7 +292,7 @@ def cmd_check(args) -> int:
     if args.name not in _CHECKS:
         raise SpecError(f"unknown check {args.name!r}; choose from {sorted(_CHECKS)}")
     out = _out_dir(args)
-    report = {"name": args.name, "items": [], "threads_cap": _threads_cap()}
+    report = {"name": args.name, "items": []}
     _CHECKS[args.name](args, report)
     report["pass"] = all(item["pass"] for item in report["items"])
     _write_json(out / "report.json", report)
@@ -338,33 +324,21 @@ def cmd_phi_profile(args) -> int:
     _write_json(out / "summary.json", {
         "window": [lo, hi], "delta": args.delta,
         "nodes": len(prof.nodes), "side": args.side,
-        "threads_cap": _threads_cap(),
     })
     return EXIT_OK
 
 
 def cmd_circle_line(args) -> int:
-    f = _load_spec(args.spec)
-    lo, hi = _parse_window(args.window)
-    atoms = boundary_atoms_in_window(f, lo, hi)
-    if atoms.size and not args.force:
-        raise SpecError(
-            f"window ({lo}, {hi}) contains detected atoms at {atoms.tolist()}; "
-            "pass --force to proceed")
-    out = _out_dir(args)
-    gap = consistency_gap(f, _default_window_test(lo, hi), _schedule(args))
-    _write_json(out / "gap.json", gap.to_json())
+    gap = _circle_line_gap(args)
+    _write_json(_out_dir(args) / "gap.json", gap.to_json())
     return EXIT_OK
 
 
-def _add_common(parser):
-    parser.add_argument("--out", required=True, help="output directory")
+def _add_schedule(parser):
+    """Height schedule y0 * ratio^k, k < steps, of the y -> 0 limits."""
     parser.add_argument("--y0", type=float, default=0.5)
     parser.add_argument("--ratio", type=float, default=0.5)
     parser.add_argument("--steps", type=int, default=12)
-    parser.add_argument("--tol", type=float, default=1e-4)
-    parser.add_argument("--side", choices=("upper", "lower"), default="upper")
-    parser.add_argument("--force", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True)
     p.add_argument("--sigma-points", default="", dest="sigma_points")
     p.add_argument("--nodes", type=int, default=71)
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
+    _add_schedule(p)
+    p.add_argument("--tol", type=float, default=DIVERGENCE_FACTOR)
+    p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("reconstruct", help="recover a full measure and resynthesize")
@@ -390,20 +367,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes-per-block", type=int, default=24, dest="nodes_per_block")
     p.add_argument("--probes", default="2j,-3j,1+1j")
     p.add_argument("--residual-bound", type=float, default=1e-3, dest="residual_bound")
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
+    _add_schedule(p)
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("check", help="named invariant suite")
     p.add_argument("name", choices=sorted(_CHECKS))
     p.add_argument("--spec")
     p.add_argument("--window", default="")
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
+    _add_schedule(p)
+    p.add_argument("--tol", type=float, default=DIVERGENCE_FACTOR)
+    p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("mobius", help="pushforward a measure file")
     p.add_argument("--measure", required=True)
     p.add_argument("--matrix", required=True, help="a,b,c,d")
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_mobius)
 
     p = sub.add_parser("phi-profile", help="sample the boundary-limit profile")
@@ -411,13 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True)
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--nodes", type=int, default=129)
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--side", choices=("upper", "lower"), default="upper")
     p.set_defaults(fn=cmd_phi_profile)
 
     p = sub.add_parser("circle-line", help="circle/line compatibility gap")
     p.add_argument("--spec", required=True)
     p.add_argument("--window", required=True)
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
+    _add_schedule(p)
+    p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_circle_line)
 
     return parser

@@ -19,8 +19,8 @@ import numpy as np
 
 from .catalog import AnalyticFunction, invert_variable
 from .errors import NonSimpleBehaviorError
-from .extrapolation import (ExtrapolatedLimit, LimitSchedule, best_limit,
-                            limit_from_samples)
+from .extrapolation import (DIVERGENCE_FACTOR, ExtrapolatedLimit,
+                            LimitSchedule, best_limit, limit_from_samples)
 from .measures import TestFunction
 from .quadrature import quad_real_line
 
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_SCHEDULE = LimitSchedule()
-DIVERGENCE_FACTOR = 1e-4
 
 
 def _plus_minus_difference(f: AnalyticFunction, x, y: float):
@@ -68,29 +67,33 @@ def extract_functional(f: AnalyticFunction, test: TestFunction,
     return limit_from_samples(ys, vals, order=sched.order)
 
 
+def _density_samples(f: AnalyticFunction, xs: np.ndarray, ys: np.ndarray):
+    """(f(x+iy) - f(x-iy)) / (2 pi i (1+x^2)) with heights down axis 0."""
+    Z = xs[None, :] + 1j * ys[:, None]
+    diff = f(Z) - f(np.conj(Z))
+    return diff / (2j * np.pi * (1.0 + xs * xs)[None, :])
+
+
 def density_at(f: AnalyticFunction, x: float,
                sched: LimitSchedule = DEFAULT_SCHEDULE) -> ExtrapolatedLimit:
     """Pointwise boundary density (f(x+iy) - f(x-iy)) / (2 pi i (1+x^2)) as y -> 0.
 
     Valid where the boundary measure is absolutely continuous with continuous
     density; a diverging tableau signals a nearby atom or non-simple behavior.
+    Samples as density_grid does at the single point x, and keeps them as
+    the sequence.
     """
     ys = sched.heights
-    zs = x + 1j * ys
-    vals = (f(zs) - f(np.conj(zs))) / (2j * np.pi * (1.0 + x * x))
+    vals = _density_samples(f, np.array([x], dtype=float), ys)[:, 0]
     value, err = best_limit(ys, vals, order=sched.order)
-    seq = tuple((float(y), complex(v)) for y, v in zip(ys, vals))
-    return ExtrapolatedLimit(complex(value), float(err), seq)
+    return ExtrapolatedLimit(value, err, tuple(zip(ys.tolist(), vals.tolist())))
 
 
 def density_grid(f: AnalyticFunction, xs,
                  sched: LimitSchedule = DEFAULT_SCHEDULE):
     """Vectorized density_at over a grid: returns (values, error_estimates)."""
-    xs = np.asarray(xs, dtype=float)
     ys = sched.heights
-    Z = xs[None, :] + 1j * ys[:, None]
-    diff = f(Z) - f(np.conj(Z))
-    samples = diff / (2j * np.pi * (1.0 + xs * xs)[None, :])
+    samples = _density_samples(f, np.asarray(xs, dtype=float), ys)
     return best_limit(ys, samples, order=sched.order)
 
 
@@ -98,21 +101,24 @@ def atomic_mass_at(f: AnalyticFunction, x: float,
                    sched: LimitSchedule = DEFAULT_SCHEDULE) -> complex:
     """Atomic mass at a real boundary point: lim y f(x+iy) / (i (1+x^2)).
 
-    Polynomial extrapolation is backed by Aitken acceleration for the
-    fractional-power rates a nearby density can impose on the limit.
+    atomic_mass_batch at the single point x, raising where the tableau
+    diverges.
     """
-    ys = sched.heights
-    vals = ys * f(x + 1j * ys) / (1j * (1.0 + x * x))
-    value, err = best_limit(ys, vals, order=sched.order)
+    masses, errs = atomic_mass_batch(f, [x], sched)
+    value, err = complex(masses[0]), float(errs[0])
     if err > DIVERGENCE_FACTOR * (1.0 + abs(value)):
         raise NonSimpleBehaviorError(
             f"atomic mass limit at x={x} diverged (error estimate {err:.2e})")
-    return complex(value)
+    return value
 
 
 def atomic_mass_batch(f: AnalyticFunction, xs,
                       sched: LimitSchedule = DEFAULT_SCHEDULE):
-    """Vectorized atomic masses over locations: returns (masses, error_estimates)."""
+    """Vectorized atomic masses over locations: returns (masses, error_estimates).
+
+    Polynomial extrapolation is backed by Aitken acceleration for the
+    fractional-power rates a nearby density can impose on the limit.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = sched.heights
     Z = xs[None, :] + 1j * ys[:, None]

@@ -49,6 +49,14 @@ _WG = np.array([
 ])
 
 
+def _lobatto(lo: float, hi: float, n: int) -> np.ndarray:
+    """n Chebyshev-Lobatto nodes on [lo, hi], ends pinned exactly."""
+    k = np.arange(n)
+    ts = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(k * np.pi / (n - 1))
+    ts[0], ts[-1] = lo, hi
+    return ts
+
+
 def _panel(f: Callable, a: float, b: float):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -163,16 +171,12 @@ def quad_real_line(f: Callable, lo: float = -math.inf, hi: float = math.inf, *,
                                   max_panels=max_panels, min_panels=min_panels,
                                   initial_edges=initial_edges)
         return -val, err
-    if hi <= -_TAIL_START or lo >= _TAIL_START:
-        if math.isfinite(lo) and math.isfinite(hi) and (hi - lo) <= 200.0:
-            return adaptive_quad(f, lo, hi, atol=atol, rtol=rtol,
-                                 max_panels=max_panels, min_panels=min_panels,
-                                 initial_edges=initial_edges)
-        return _quad_tail(f, lo, hi, atol=atol, rtol=rtol, max_panels=max_panels)
     if math.isfinite(lo) and math.isfinite(hi) and (hi - lo) <= 200.0:
         return adaptive_quad(f, lo, hi, atol=atol, rtol=rtol,
                              max_panels=max_panels, min_panels=min_panels,
                              initial_edges=initial_edges)
+    if hi <= -_TAIL_START or lo >= _TAIL_START:
+        return _quad_tail(f, lo, hi, atol=atol, rtol=rtol, max_panels=max_panels)
     # Split into far tails plus a direct middle piece.
     total = None
     total_err = 0.0

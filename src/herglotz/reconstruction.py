@@ -23,10 +23,11 @@ import numpy as np
 
 from .catalog import AnalyticFunction, cauchy_eval
 from .errors import NonSimpleBehaviorError, SpecError
-from .extrapolation import LimitSchedule
+from .extrapolation import DIVERGENCE_FACTOR, LimitSchedule
 from .extraction import (atomic_mass_at_infinity, atomic_mass_batch,
                          density_grid, sup_abs_growth)
 from .measures import Atom, BoundaryMeasure, table_density, INF
+from .quadrature import _lobatto
 
 __all__ = [
     "ReconstructionSpec",
@@ -126,9 +127,7 @@ def _piece_blocks(lo: float, hi: float, spec: ReconstructionSpec):
 def _lobatto_arctan(lo: float, hi: float, n: int) -> np.ndarray:
     ta = 2.0 * math.atan(lo) if math.isfinite(lo) else -math.pi
     tb = 2.0 * math.atan(hi) if math.isfinite(hi) else math.pi
-    k = np.arange(n)
-    ts = 0.5 * (ta + tb) - 0.5 * (tb - ta) * np.cos(k * np.pi / (n - 1))
-    xs = np.tan(0.5 * ts)
+    xs = np.tan(0.5 * _lobatto(ta, tb, n))
     if math.isfinite(lo):
         xs[0] = lo
     if math.isfinite(hi):
@@ -170,7 +169,7 @@ def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> Reconstruction
     if sigmas:
         masses, errs = atomic_mass_batch(f, np.asarray(sigmas), spec.schedule)
         for s, m, e in zip(sigmas, np.atleast_1d(masses), np.atleast_1d(errs)):
-            if e > 1e-4 * (1.0 + abs(m)):
+            if e > DIVERGENCE_FACTOR * (1.0 + abs(m)):
                 raise NonSimpleBehaviorError(
                     f"atomic mass limit at {s} diverged (error estimate {e:.2e})")
             atoms.append(Atom(s, complex(m)))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from herglotz import (Atom, BoundaryMeasure, CatalogSpec, CircleFunctional,
-                      catalog_build, circle_limit, circle_measure_functional,
+from herglotz import (Atom, BoundaryMeasure, CatalogSpec, catalog_build,
+                      circle_limit, circle_measure_functional,
                       consistency_gap, inversion_duality_gap,
                       joined_distribution_check, star_reflect, to_disc)
 from herglotz.errors import SpecError
@@ -77,13 +77,10 @@ def test_circle_functional_star_relation(tan_fn):
     assert abs(mu_star - np.conj(mu)) <= 1e-10
 
 
-def test_cached_functional():
+def test_circle_measure_functional_rejects_radius():
     phi = _herglotz_atom_at_angle_zero()
-    fn = CircleFunctional(phi, 0.9)
-    test = smooth_bump(-1.0, 1.0)
-    assert fn(test) == fn(test)
     with pytest.raises(SpecError):
-        CircleFunctional(phi, 1.5)
+        circle_measure_functional(phi, 1.5, smooth_bump(-1.0, 1.0))
 
 
 def test_consistency_constant():

@@ -66,6 +66,29 @@ def test_extract_non_simple_exits_2(tmp_path, capsys):
     assert "non-simple behavior near 0" in err
 
 
+def test_extract_tol_drives_divergence_test(tmp_path, power_half_spec):
+    out = tmp_path / "out"
+    assert main(["extract", "--spec", power_half_spec, "--window=-3,-1",
+                 "--nodes", "11", "--tol", "1e-30", "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "diverged"
+    assert summary["tolerance"] == 1e-30
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["mobius", "--measure", "m.json", "--matrix=0,-1,1,0"], ["--y0", "1"]),
+    (["phi-profile", "--spec", "f.json", "--window=-1,1"], ["--tol", "1"]),
+    (["reconstruct", "--spec", "f.json", "--window=-1,1"], ["--force"]),
+    (["circle-line", "--spec", "f.json", "--window=-4,-1"], ["--side", "lower"]),
+    (["extract", "--spec", "f.json", "--window=-1,1"], ["--side", "lower"]),
+])
+def test_unread_flag_exits_1(tmp_path, capsys, argv, unread):
+    assert main(argv + unread + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: " + " ".join(unread) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_extract_missing_spec_exits_1(tmp_path):
     assert main(["extract", "--spec", str(tmp_path / "nope.json"),
                  "--window=-1,1", "--out", str(tmp_path / "o")]) == 1
@@ -189,18 +212,13 @@ def test_circle_line_gap_artifact(tmp_path, power_half_spec):
     gap = json.loads((out / "gap.json").read_text())
     assert set(gap) == {"circle", "line", "gap", "r_sequence", "y_sequence"}
     assert gap["gap"] <= 1e-4
-
-
-def test_threads_env_validation(tmp_path, power_half_spec, monkeypatch):
-    monkeypatch.setenv("HERGLOTZ_THREADS", "zebra")
-    out = tmp_path / "out"
-    assert main(["extract", "--spec", power_half_spec, "--window=-3,-1",
-                 "--out", str(out)]) == 1
-    monkeypatch.setenv("HERGLOTZ_THREADS", "4")
-    assert main(["extract", "--spec", power_half_spec, "--window=-3,-1",
-                 "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["threads_cap"] == 4
+    # the check suite runs the same computation
+    check = tmp_path / "check"
+    assert main(["check", "circle-line", "--spec", power_half_spec,
+                 "--window=-4,-1", "--out", str(check)]) == 0
+    item = json.loads((check / "report.json").read_text())["items"][0]
+    assert item["gap"] == gap["gap"]
+    assert [item["circle"], item["line"]] == [gap["circle"], gap["line"]]
 
 
 def test_check_variation_bound_with_measure_file(tmp_path):

@@ -4,8 +4,10 @@ from scipy.integrate import quad
 
 from herglotz import (Atom, BoundaryMeasure, CatalogSpec, LimitSchedule,
                       PolarGrid, atomic_mass_at, atomic_mass_at_infinity,
-                      catalog_build, density_at, extract_functional,
-                      simple_scan, star_reflect, vladimirov_norm)
+                      catalog_build, density_at, density_grid,
+                      extract_functional, simple_scan, star_reflect,
+                      vladimirov_norm)
+from herglotz.extraction import atomic_mass_batch
 from herglotz.errors import NonSimpleBehaviorError
 from herglotz.measures import TestFunction
 from herglotz.testing import constant_one, smooth_bump
@@ -57,6 +59,16 @@ def test_density_at_values(sqrt_fn, tan_fn):
     assert abs(d2.value - expect) <= 1e-6 * abs(expect)
     d3 = density_at(tan_fn, 1.0)
     assert abs(d3.value) < 1e-10
+
+
+def test_scalar_extraction_matches_batched(sqrt_fn, tan_fn):
+    d = density_at(sqrt_fn, -1.7)
+    vals, errs = density_grid(sqrt_fn, [-1.7])
+    assert d.value == vals[0] and d.error_estimate == errs[0]
+    assert len(d.sequence) == LimitSchedule().steps
+    x = 3.0 * np.pi / 2.0
+    masses, _ = atomic_mass_batch(tan_fn, [x])
+    assert atomic_mass_at(tan_fn, x) == masses[0]
 
 
 def test_star_covariance_of_extract():
