@@ -12,8 +12,8 @@ boundary limit expressible by finite data at height delta plus improper corner
 integrals; the same limit is the pairing of h'' against an explicit profile
 Phi(t) which vanishes at both endpoints and does not depend on delta.
 
-Lower-side limits are produced from the upper-side machinery applied to the
-star reflection and conjugating, which is the symmetry the two sides satisfy.
+Both sides share one code path: the side enters only as the sign sgn = +-1 of
+the height, so every formula evaluates f at x + sgn*i*y.
 """
 from __future__ import annotations
 
@@ -24,9 +24,9 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
-from .catalog import AnalyticFunction, star_reflect
+from .catalog import AnalyticFunction
 from .errors import NonSimpleBehaviorError, SpecError
-from .extraction import sup_abs_growth
+from .extraction import _side_sign, sup_abs_growth
 from .measures import TestFunction
 from .quadrature import _lobatto, adaptive_quad, quad_power_weighted_zero
 
@@ -34,7 +34,6 @@ __all__ = [
     "C02Function",
     "normalized_antiderivative",
     "c02_from_callables",
-    "conjugate_c02",
     "PhiProfile",
     "boundary_functional",
     "phi_profile",
@@ -110,13 +109,6 @@ def normalized_antiderivative(H: Callable, a: float, b: float, *,
                        lambda x: np.asarray(H(np.asarray(x, dtype=float)), dtype=complex))
 
 
-def conjugate_c02(c: C02Function) -> C02Function:
-    return C02Function(c.a, c.b,
-                       lambda x: np.conj(c.h(x)),
-                       lambda x: np.conj(c.h1(x)),
-                       lambda x: np.conj(c.h2(x)))
-
-
 def _require_simple(f: AnalyticFunction, a: float, b: float, side: str,
                     max_beta: float, what: str):
     beta = sup_abs_growth(f, a, b, side=side)
@@ -126,36 +118,31 @@ def _require_simple(f: AnalyticFunction, a: float, b: float, side: str,
             f"exceeding the admissible exponent {max_beta}")
 
 
+def _corners(f: AnalyticFunction, xs, delta: float, m: int, sgn: float,
+             atol: float) -> np.ndarray:
+    """int_0^delta y^m f(x + sgn*i*y) dy for each x in xs, one point at a time."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    out = np.empty(xs.shape, dtype=complex)
+    for i, x in enumerate(xs):
+        out[i], _ = quad_power_weighted_zero(lambda y: f(x + sgn * 1j * y), delta, m,
+                                             atol=atol)
+    return out
+
+
 def boundary_functional(f: AnalyticFunction, h02: C02Function, delta: float, *,
                         side: str = "upper", atol: float = 1e-11) -> complex:
-    """Boundary limit of int h(x) f(x + iy) dx as y -> +0 (or y -> -0 for the lower side)."""
-    if delta <= 0:
-        raise SpecError("delta must be positive")
-    if side == "lower":
-        val = boundary_functional(star_reflect(f), conjugate_c02(h02), delta,
-                                  side="upper", atol=atol)
-        return np.conj(val)
+    """Boundary limit of int h(x) f(x + iy) dx as y -> +0 (or y -> -0 for the lower side).
+
+    This is the order-1 limit plus the endpoint terms h'(b) E(b) - h'(a) E(a),
+    E(x) = int_0^delta y f(x + sgn*i*y) dy, that integration by parts leaves
+    when h' does not vanish at a and b.
+    """
     a, b = h02.a, h02.b
-    _require_simple(f, a, b, "upper", 1.0, "boundary_functional")
-
-    line = lambda x: f(np.asarray(x, dtype=float) + 1j * delta)
-    t1, _ = adaptive_quad(lambda x: h02.h(x) * line(x), a, b, atol=atol)
-    t2, _ = adaptive_quad(lambda x: h02.h1(x) * line(x), a, b, atol=atol)
-    corner_b, _ = quad_power_weighted_zero(lambda y: f(b + 1j * y), delta, 1, atol=atol)
-    corner_a, _ = quad_power_weighted_zero(lambda y: f(a + 1j * y), delta, 1, atol=atol)
-    h1a = complex(np.asarray(h02.h1(np.array([a])))[0])
-    h1b = complex(np.asarray(h02.h1(np.array([b])))[0])
-
-    def inner(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.empty(xs.shape, dtype=complex)
-        for i, x in enumerate(xs):
-            out[i], _ = quad_power_weighted_zero(lambda y: f(x + 1j * y), delta, 1,
-                                                 atol=atol)
-        return out
-
-    t4, _ = adaptive_quad(lambda x: h02.h2(x) * inner(x), a, b, atol=atol * 10)
-    return complex(t1 + 1j * delta * t2 + h1b * corner_b - h1a * corner_a - t4)
+    test = TestFunction(h02.h, (a, b), derivs=(h02.h1, h02.h2))
+    val = boundary_limit_order_m(f, test, a, b, delta, 1, side=side, atol=atol)
+    e_a, e_b = _corners(f, (a, b), delta, 1, _side_sign(side), atol)
+    h1a, h1b = np.asarray(h02.h1(np.array([a, b])), dtype=complex)
+    return complex(val + h1b * e_b - h1a * e_a)
 
 
 def _barycentric(ts: np.ndarray, vs: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -198,22 +185,6 @@ class PhiProfile:
     def values(self) -> tuple:
         return tuple(v for seg in self.segments for v in seg[3])
 
-    def interp(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty(t.shape, dtype=complex)
-        for i, ti in enumerate(t):
-            seg = None
-            for lo, hi, ts, vs in self.segments:
-                if lo <= ti <= hi:
-                    seg = (ts, vs)
-                    break
-            if seg is None:
-                out[i] = 0j
-                continue
-            out[i] = _barycentric(np.asarray(seg[0]), np.asarray(seg[1]),
-                                  np.array([ti]))[0]
-        return out
-
     def rows(self):
         return [(float(t), complex(v).real, complex(v).imag)
                 for t, v in zip(self.nodes, self.values)]
@@ -247,7 +218,8 @@ def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
              - (b-t)/(b-a) * int_a^b (x + i delta - a) f(x + i delta) dx
              + (t-a)/(b-a) * int_0^delta y f(b + iy) dy
              + (b-t)/(b-a) * int_0^delta y f(a + iy) dy
-             - int_0^delta y f(t + iy) dy.
+             - int_0^delta y f(t + iy) dy
+    on the upper side; the lower side replaces i by -i throughout.
 
     The sample splits [a, b] at known boundary-support points of f, where Phi
     is continuous but can fail to be differentiable.
@@ -256,30 +228,23 @@ def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
         raise SpecError("require a < b and delta > 0")
     if nodes < 5:
         raise SpecError("need at least 5 profile nodes")
-    if side == "lower":
-        prof = phi_profile(star_reflect(f), a, b, delta, nodes=nodes,
-                           side="upper", atol=atol)
-        segs = tuple((lo, hi, ts, tuple(np.conj(np.asarray(vs)).tolist()))
-                     for lo, hi, ts, vs in prof.segments)
-        return PhiProfile(a, b, delta, segs)
-    _require_simple(f, a, b, "upper", 1.0, "phi_profile")
+    sgn = _side_sign(side)
+    _require_simple(f, a, b, side, 1.0, "phi_profile")
 
     edges = [a] + _interior_kinks(f, a, b) + [b]
     n_seg = len(edges) - 1
     per_seg = max(9, int(math.ceil(nodes / n_seg)))
 
-    line = lambda x: f(np.asarray(x, dtype=float) + 1j * delta)
-    s1, _ = adaptive_quad(lambda x: (x + 1j * delta - a) * line(x), a, b, atol=atol)
-    corner_a, _ = quad_power_weighted_zero(lambda y: f(a + 1j * y), delta, 1, atol=atol)
-    corner_b, _ = quad_power_weighted_zero(lambda y: f(b + 1j * y), delta, 1, atol=atol)
+    iy = sgn * 1j * delta
+    line = lambda x: f(np.asarray(x, dtype=float) + iy)
+    s1, _ = adaptive_quad(lambda x: (x + iy - a) * line(x), a, b, atol=atol)
+    corner_a, corner_b = _corners(f, (a, b), delta, 1, sgn, atol)
 
-    def phi_at(t: float) -> complex:
+    def phi_at(t: float, e_t: complex) -> complex:
         if t < b:
-            p, _ = adaptive_quad(lambda x: (x + 1j * delta - t) * line(x), t, b,
-                                 atol=atol)
+            p, _ = adaptive_quad(lambda x: (x + iy - t) * line(x), t, b, atol=atol)
         else:
             p = 0j
-        e_t, _ = quad_power_weighted_zero(lambda y: f(t + 1j * y), delta, 1, atol=atol)
         w_b = (t - a) / (b - a)
         w_a = (b - t) / (b - a)
         return complex(p - w_a * s1 + w_b * corner_b + w_a * corner_a - e_t)
@@ -287,7 +252,8 @@ def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
     segments = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         ts = _lobatto(lo, hi, per_seg)
-        vs = tuple(phi_at(float(t)) for t in ts)
+        e_ts = _corners(f, ts, delta, 1, sgn, atol)
+        vs = tuple(phi_at(float(t), e_t) for t, e_t in zip(ts, e_ts))
         segments.append((float(lo), float(hi), tuple(ts.tolist()), vs))
     return PhiProfile(float(a), float(b), float(delta), tuple(segments))
 
@@ -332,7 +298,7 @@ def boundary_limit_order_m(f: AnalyticFunction, test: TestFunction, a: float,
         raise SpecError(f"order m must lie in [0, {MAX_ORDER}]")
     if delta <= 0 or not a < b:
         raise SpecError("require a < b and delta > 0")
-    sgn = 1.0 if side == "upper" else -1.0
+    sgn = _side_sign(side)
     _require_simple(f, a, b, side, float(m) if m > 0 else 0.5,
                     "boundary_limit_order_m")
 
@@ -346,16 +312,8 @@ def boundary_limit_order_m(f: AnalyticFunction, test: TestFunction, a: float,
         total += (sgn * 1j * delta) ** k / math.factorial(k) * term
 
     dtop, cheb = _test_derivative(test, m + 1, a, b, cheb)
-
-    def inner(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.empty(xs.shape, dtype=complex)
-        for i, x in enumerate(xs):
-            out[i], _ = quad_power_weighted_zero(
-                lambda y: f(x + sgn * 1j * y), delta, m, atol=atol)
-        return out
-
-    rem, _ = adaptive_quad(lambda x: np.asarray(dtop(x), dtype=complex) * inner(x),
-                           a, b, atol=atol * 10)
+    rem, _ = adaptive_quad(
+        lambda x: np.asarray(dtop(x), dtype=complex) * _corners(f, x, delta, m, sgn, atol),
+        a, b, atol=atol * 10)
     total += (sgn * 1j) ** (m + 1) / math.factorial(m) * rem
     return complex(total)

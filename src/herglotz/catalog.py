@@ -2,7 +2,7 @@
 
 Every function familiar from the boundary-measure theory is available as an
 ``AnalyticFunction``: an off-boundary evaluator together with its boundary
-support, its simple-behavior classification, and a serializable build recipe.
+support and a serializable build recipe.
 The generic member is the Cauchy-type transform of an arbitrary boundary
 measure,
 
@@ -55,8 +55,6 @@ class AnalyticFunction:
     fn: Callable = field(repr=False)
     picture: str = "half-plane"
     boundary_support: tuple = ()
-    simple_on_boundary: str = "unknown"
-    simple_condition: str = ""
     has_representing_measure: Optional[bool] = None
     descriptor: Optional[dict] = None
     pole_locator: Optional[Callable] = field(default=None, repr=False)
@@ -158,25 +156,6 @@ class CatalogSpec:
     def __post_init__(self):
         if self.kind not in _KNOWN_KINDS:
             raise SpecError(f"unknown catalog kind {self.kind!r}")
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        p = self.params
-        if "p" in p:
-            v = complex(p["p"])
-            out["p"] = [v.real, v.imag]
-        if "sigma" in p:
-            out["sigma"] = float(p["sigma"])
-        if self.kind == "rational":
-            out["a"] = [complex(p["a"]).real, complex(p["a"]).imag]
-            out["b"] = [complex(p["b"]).real, complex(p["b"]).imag]
-            out["poles"] = [float(s) for s in p["poles"]]
-            out["coeffs"] = [[complex(c).real, complex(c).imag] for c in p["coeffs"]]
-        if self.kind in ("cauchy", "disc_herglotz"):
-            out["measure"] = measure_to_json(p["measure"])
-            c = complex(p.get("constant", 0))
-            out["constant"] = [c.real, c.imag]
-        return out
 
     @staticmethod
     def from_json(data: dict) -> "CatalogSpec":
@@ -421,7 +400,6 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
         return AnalyticFunction(
             _tan_values, "half-plane",
             (("point", INF),),
-            "yes", "simple poles only",
             True, {"kind": "tan"},
             lambda lo, hi: _odd_multiples(math.pi / 2.0, lo, hi, "odd"))
 
@@ -429,7 +407,6 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
         return AnalyticFunction(
             _cot_values, "half-plane",
             (("point", INF),),
-            "yes", "simple poles only",
             True, {"kind": "cot"},
             lambda lo, hi: _odd_multiples(math.pi, lo, hi, "any"))
 
@@ -437,7 +414,6 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
         return AnalyticFunction(
             lambda z: 2.0 * _inv_sin_values(2.0 * np.asarray(z, dtype=complex)),
             "half-plane", (("point", INF),),
-            "yes", "simple poles only",
             True, {"kind": "csc2"},
             lambda lo, hi: _odd_multiples(math.pi / 2.0, lo, hi, "any"))
 
@@ -445,18 +421,14 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
         pw = complex(p["p"])
         if kind == "power":
             fn = lambda z: np.exp(pw * np.log(z))
-            simple = -1.0 <= pw.real <= 1.0
             has_rep = (-1.0 < pw.real < 1.0) or pw in (-1, 0, 1)
             support = (("interval", -INF, 0.0),)
             locator = None
-            cond = "-1 <= Re p <= 1"
         elif kind == "power_log":
             fn = lambda z: np.exp(pw * np.log(z)) * np.log(z)
-            simple = -1.0 < pw.real < 1.0
-            has_rep = simple
+            has_rep = -1.0 < pw.real < 1.0
             support = (("interval", -INF, 0.0),)
             locator = None
-            cond = "-1 < Re p < 1"
         else:
             fn = lambda z: np.exp(pw * np.log(z)) / np.log(z)
             simple = -1.0 <= pw.real <= 1.0
@@ -464,10 +436,8 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
             support = (("interval", -INF, 0.0), ("point", 1.0))
             locator = (lambda lo, hi:
                        np.array([1.0]) if lo < 1.0 < hi else np.array([]))
-            cond = "-1 <= Re p <= 1"
         return AnalyticFunction(
-            fn, "half-plane", support,
-            "yes" if simple else "no", cond, has_rep,
+            fn, "half-plane", support, has_rep,
             {"kind": kind, "p": [pw.real, pw.imag]}, locator)
 
     if kind in ("tan_sigma_log", "cot_sigma_log", "csc2_sigma_log"):
@@ -487,7 +457,7 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
         return AnalyticFunction(
             fn, "half-plane",
             (("interval", -INF, 0.0), ("point", 0.0), ("point", INF)),
-            "yes", "sigma > 0", True,
+            True,
             {"kind": kind, "sigma": sigma},
             lambda lo, hi, s=sigma, q=parity: _exp_lattice(s, lo, hi, q))
 
@@ -513,7 +483,7 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
         if a != 0:
             support = support + (("point", INF),)
         return AnalyticFunction(
-            fn, "half-plane", support, "yes", "simple poles only", True,
+            fn, "half-plane", support, True,
             {"kind": "rational", "a": [a.real, a.imag], "b": [b.real, b.imag],
              "poles": poles, "coeffs": [[c.real, c.imag] for c in coeffs]},
             lambda lo, hi: np.array([s for s in poles if lo < s < hi]))
@@ -526,7 +496,7 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
         atom_locs = np.array([a.loc for a in m.atoms if math.isfinite(a.loc)])
         return AnalyticFunction(
             lambda z, m=m, c=c: cauchy_eval(m, c, z),
-            "half-plane", support, "yes", "representing measure given", True,
+            "half-plane", support, True,
             {"kind": "cauchy", "measure": measure_to_json(m),
              "constant": [c.real, c.imag]},
             lambda lo, hi: atom_locs[(atom_locs > lo) & (atom_locs < hi)])
@@ -540,7 +510,7 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
             _disc_herglotz_eval(m, c), "disc",
             tuple(("point", a.loc) for a in m.atoms)
             + tuple(("interval", d.support[0], d.support[1]) for d in m.densities),
-            "yes", "representing measure given", True,
+            True,
             {"kind": "disc_herglotz", "measure": measure_to_json(m),
              "constant": [c.real, c.imag]})
 
@@ -593,7 +563,6 @@ def invert_variable(f: AnalyticFunction) -> AnalyticFunction:
             return np.array(sorted(pts))
 
     return AnalyticFunction(fn, "half-plane", tuple(support),
-                            f.simple_on_boundary, f.simple_condition,
                             f.has_representing_measure,
                             {"kind": "inversion", "base": f.descriptor}, locator)
 
@@ -607,8 +576,7 @@ def compose_mobius(f: AnalyticFunction, m) -> AnalyticFunction:
         z = np.asarray(z, dtype=complex)
         return f.fn((m.a * z + m.b) / (m.c * z + m.d))
 
-    return AnalyticFunction(fn, "half-plane", (), f.simple_on_boundary,
-                            f.simple_condition, f.has_representing_measure,
+    return AnalyticFunction(fn, "half-plane", (), f.has_representing_measure,
                             {"kind": "mobius-composition", "base": f.descriptor,
                              "matrix": [m.a, m.b, m.c, m.d]})
 
@@ -620,7 +588,6 @@ def star_reflect(f: AnalyticFunction) -> AnalyticFunction:
     else:
         fn = lambda z: -np.conj(f.fn(1.0 / np.conj(np.asarray(z, dtype=complex))))
     return AnalyticFunction(fn, f.picture, f.boundary_support,
-                            f.simple_on_boundary, f.simple_condition,
                             f.has_representing_measure,
                             {"kind": "star", "base": f.descriptor},
                             f.pole_locator)

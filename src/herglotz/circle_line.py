@@ -66,7 +66,7 @@ class RadiusSchedule:
 DEFAULT_R_SCHEDULE = RadiusSchedule()
 
 # Full-period trapezoid sums resolve structure of scale 1-r only while
-# n_max * (1-r) stays large; the joined check therefore stops its radius
+# 8192 * (1-r) stays large; the joined check therefore stops its radius
 # schedule earlier than the windowed adaptive integrals need to.
 JOINED_R_SCHEDULE = RadiusSchedule(steps=8, order=6)
 
@@ -80,8 +80,7 @@ def to_disc(f: AnalyticFunction) -> AnalyticFunction:
         z = np.asarray(z, dtype=complex)
         return -1j * f.fn(1j * (1.0 - z) / (1.0 + z))
 
-    return AnalyticFunction(fn, "disc", (), f.simple_on_boundary,
-                            f.simple_condition, f.has_representing_measure,
+    return AnalyticFunction(fn, "disc", (), f.has_representing_measure,
                             {"kind": "disc-companion", "base": f.descriptor})
 
 

@@ -10,11 +10,11 @@ mobius        pushforward of a measure file under a 2x2 real matrix
 phi-profile   boundary-limit profile sampled on a window, written as CSV
 circle-line   circle/line compatibility gap report
 
-Each subcommand accepts only the flags it reads; any other flag is a usage
-error.  Exit codes: 0 success, 1 configuration or usage error, 2 divergent
-limit or non-simple behavior, 3 check failure.  Outputs use shortest-roundtrip
-float formatting and fixed orderings, so identical configurations produce
-byte-identical files.
+Each subcommand, and each check suite, accepts only the flags it reads; any
+other flag is a usage error.  Exit codes: 0 success, 1 configuration or usage
+error, 2 divergent limit or non-simple behavior, 3 check failure.  Outputs use
+shortest-roundtrip float formatting and fixed orderings, so identical
+configurations produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -51,8 +51,6 @@ VLADIMIROV_COEFF = 0.5 * (1.0 + math.sqrt(2.0))
 
 
 def _load_spec(path) -> AnalyticFunction:
-    if not path:
-        raise SpecError("a --spec file is required")
     p = Path(path)
     if not p.exists():
         raise SpecError(f"function spec file not found: {path}")
@@ -289,8 +287,6 @@ _CHECKS = {
 
 
 def cmd_check(args) -> int:
-    if args.name not in _CHECKS:
-        raise SpecError(f"unknown check {args.name!r}; choose from {sorted(_CHECKS)}")
     out = _out_dir(args)
     report = {"name": args.name, "items": []}
     _CHECKS[args.name](args, report)
@@ -372,14 +368,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("check", help="named invariant suite")
-    p.add_argument("name", choices=sorted(_CHECKS))
-    p.add_argument("--spec")
-    p.add_argument("--window", default="")
-    p.add_argument("--out", required=True, help="output directory")
-    _add_schedule(p)
-    p.add_argument("--tol", type=float, default=DIVERGENCE_FACTOR)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_check)
+    suites = p.add_subparsers(dest="name", required=True)
+    for name in _CHECKS:
+        q = suites.add_parser(name)
+        if name != "poisson-identity":
+            q.add_argument("--spec", required=True)
+        if name in ("circle-line", "inversion-duality"):
+            q.add_argument("--window", required=True)
+            _add_schedule(q)
+            q.add_argument("--tol", type=float, default=DIVERGENCE_FACTOR)
+        if name == "circle-line":
+            q.add_argument("--force", action="store_true")
+        q.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("mobius", help="pushforward a measure file")
     p.add_argument("--measure", required=True)

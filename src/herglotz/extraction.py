@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import AnalyticFunction, invert_variable
-from .errors import NonSimpleBehaviorError
+from .errors import NonSimpleBehaviorError, SpecError
 from .extrapolation import (DIVERGENCE_FACTOR, ExtrapolatedLimit,
                             LimitSchedule, best_limit, limit_from_samples)
 from .measures import TestFunction
@@ -224,14 +224,23 @@ def simple_scan(f: AnalyticFunction, window, y_floor: float = 1e-5, *,
                             tuple(ys.tolist()), tuple(sup_per_y.tolist()))
 
 
+_SIDES = {"upper": 1.0, "lower": -1.0}
+
+
+def _side_sign(side: str) -> float:
+    """The sign of Im z on the given side of the real line."""
+    if side not in _SIDES:
+        raise SpecError(f"side must be 'upper' or 'lower', not {side!r}")
+    return _SIDES[side]
+
+
 def sup_abs_growth(f: AnalyticFunction, a: float, b: float, *,
                    y_top: float = 0.25, y_floor: float = 1e-4,
                    nx: int = 61, ny: int = 17, side: str = "upper") -> float:
     """Fitted exponent beta of sup_x |f(x + iy)| ~ y^(-beta) on [a, b]."""
     ys = np.logspace(math.log10(y_top), math.log10(y_floor), ny)
     xs = np.linspace(a, b, nx)
-    sgn = 1.0 if side == "upper" else -1.0
-    Z = xs[None, :] + sgn * 1j * ys[:, None]
+    Z = xs[None, :] + _side_sign(side) * 1j * ys[:, None]
     sup = np.abs(f(Z)).max(axis=1)
     slope = np.polyfit(np.log(ys), np.log(np.maximum(sup, 1e-300)), 1)[0]
     return float(-slope)

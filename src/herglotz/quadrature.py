@@ -68,14 +68,13 @@ def _panel(f: Callable, a: float, b: float):
 
 def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = 1e-10,
                   rtol: float = 1e-9, max_panels: int = 4000,
-                  min_panels: int = 1, initial_edges=None):
+                  min_panels: int = 1):
     """Integrate a vectorized complex integrand over the finite interval [a, b].
 
     The integrand maps a node array of shape (k,) to values of shape (k,) or
     (k, ...): trailing axes integrate jointly under a shared refinement driven
     by the worst component.  Returns (value, error_estimate).  ``min_panels``
-    forces an initial uniform split; ``initial_edges`` seeds extra panel
-    boundaries at known sharp features so refinement starts zoomed in.
+    forces an initial uniform split.
     """
     if a == b:
         return 0j, 0.0
@@ -84,10 +83,6 @@ def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = 1e-10,
         a, b = b, a
         sign = -1.0
     edges = np.linspace(a, b, max(1, min_panels) + 1)
-    if initial_edges is not None:
-        interior = [e for e in initial_edges if a < e < b]
-        if interior:
-            edges = np.unique(np.concatenate([edges, np.asarray(interior)]))
     heap = []
     seq = 0
     total = None
@@ -156,25 +151,21 @@ def _quad_tail(f: Callable, lo: float, hi: float, *, atol, rtol, max_panels):
 
 def quad_real_line(f: Callable, lo: float = -math.inf, hi: float = math.inf, *,
                    atol: float = 1e-10, rtol: float = 1e-9,
-                   max_panels: int = 4000, min_panels: int = 1,
-                   initial_edges=None):
+                   max_panels: int = 4000):
     """Integrate f over an interval of the extended real line.
 
     Moderate finite intervals go to the panel rule directly; far tails go
-    through the inverse-square map.  Entries of ``initial_edges`` are given in
-    the s variable and apply to the direct middle piece.
+    through the inverse-square map.
     """
     if lo == hi:
         return 0j, 0.0
     if lo > hi:
         val, err = quad_real_line(f, hi, lo, atol=atol, rtol=rtol,
-                                  max_panels=max_panels, min_panels=min_panels,
-                                  initial_edges=initial_edges)
+                                  max_panels=max_panels)
         return -val, err
     if math.isfinite(lo) and math.isfinite(hi) and (hi - lo) <= 200.0:
         return adaptive_quad(f, lo, hi, atol=atol, rtol=rtol,
-                             max_panels=max_panels, min_panels=min_panels,
-                             initial_edges=initial_edges)
+                             max_panels=max_panels)
     if hi <= -_TAIL_START or lo >= _TAIL_START:
         return _quad_tail(f, lo, hi, atol=atol, rtol=rtol, max_panels=max_panels)
     # Split into far tails plus a direct middle piece.
@@ -190,17 +181,14 @@ def quad_real_line(f: Callable, lo: float = -math.inf, hi: float = math.inf, *,
         pieces.append((cut_hi, hi))
     for u, v in pieces:
         val, err = quad_real_line(f, u, v, atol=atol / len(pieces), rtol=rtol,
-                                  max_panels=max_panels,
-                                  min_panels=min_panels,
-                                  initial_edges=initial_edges)
+                                  max_panels=max_panels)
         total = val if total is None else total + val
         total_err += err
     return total, total_err
 
 
 def quad_power_weighted_zero(g: Callable, delta: float, m: int = 1, *,
-                             atol: float = 1e-10, rtol: float = 1e-9,
-                             max_panels: int = 2000):
+                             atol: float = 1e-10, rtol: float = 1e-9):
     """Improper integral of y^m g(y) over (0, delta] for g bounded near 0.
 
     The substitution y = delta*u^2 concentrates nodes at the lower endpoint,
@@ -216,21 +204,21 @@ def quad_power_weighted_zero(g: Callable, delta: float, m: int = 1, *,
         return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))
 
     return adaptive_quad(h, 0.0, 1.0, atol=atol, rtol=rtol,
-                         max_panels=max_panels, min_panels=2)
+                         max_panels=2000, min_panels=2)
 
 
-def trapezoid_periodic(g: Callable, *, n0: int = 64, n_max: int = 8192,
-                       tol: float = 1e-12):
+def trapezoid_periodic(g: Callable, *, tol: float = 1e-12):
     """Integrate a smooth 2*pi-periodic integrand over a full period.
 
-    Equispaced trapezoid sums with node doubling; spectrally accurate for
-    smooth integrands.  Returns (value, estimate from the last doubling).
+    Equispaced trapezoid sums with node doubling from 64 up to 8192 nodes;
+    spectrally accurate for smooth integrands.  Returns (value, estimate from
+    the last doubling).
     """
-    n = n0
+    n = 64
     t = -math.pi + 2.0 * math.pi * np.arange(n) / n
     prev = 2.0 * math.pi * np.mean(np.asarray(g(t), dtype=complex))
     est = abs(prev)
-    while n < n_max:
+    while n < 8192:
         # Reuse previous nodes: new points are the midpoints.
         t_new = t + math.pi / n
         extra = 2.0 * math.pi * np.mean(np.asarray(g(t_new), dtype=complex))

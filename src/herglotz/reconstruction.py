@@ -46,11 +46,7 @@ class ReconstructionSpec:
     sigma_points: tuple = ()
     include_infinity: bool = False
     nodes_per_block: int = 24
-    geometric_ratio: float = 10.0
-    exclusion_floor: float = 1e-3
-    exclusion_gap_fraction: float = 0.05
     schedule: LimitSchedule = field(default_factory=LimitSchedule)
-    check_simple: bool = True
 
     def __post_init__(self):
         lo, hi = self.window
@@ -79,34 +75,34 @@ def _exclusion_radii(spec: ReconstructionSpec, sigmas: np.ndarray,
     A point carrying mass contaminates pointwise density limits out to the
     largest height the capped extrapolation tableau uses, so the gap must
     clear that scale.  A massless exceptional point only pins a candidate; the
-    density continues through it and the gap stays at the floor so no real
-    mass is truncated.  The nearest other exceptional point, a neighbour in
+    density continues through it and the gap stays at the floor 1e-3 so no
+    real mass is truncated.  The nearest other exceptional point, a neighbour in
     sorted order, bounds the gap from above.
     """
     sched = spec.schedule
     y_eff = sched.y0 * sched.ratio ** max(0, sched.steps - 1 - sched.order)
-    r = np.where(has_mass, max(spec.exclusion_floor, 3.2 * y_eff), spec.exclusion_floor)
+    r = np.where(has_mass, max(1e-3, 3.2 * y_eff), 1e-3)
     gaps = np.diff(sigmas)
     nearest = np.minimum(np.append(gaps, INF), np.insert(gaps, 0, INF))
     return np.minimum(r, 0.45 * nearest)
 
 
-def _decade_edges(lo: float, hi: float, ratio: float):
-    """Edges of geometric blocks for a same-sign interval spanning many scales."""
+def _decade_edges(lo: float, hi: float):
+    """Edges of decade blocks for a same-sign interval spanning many scales."""
     m1, m2 = sorted((abs(lo), abs(hi)))
-    if m1 <= 0 or m2 / m1 <= ratio:
+    if m1 <= 0 or m2 / m1 <= 10.0:
         return [lo, hi]
     sign = 1.0 if lo > 0 else -1.0
     mags = [m1]
-    while mags[-1] * ratio < m2:
-        mags.append(mags[-1] * ratio)
+    while mags[-1] * 10.0 < m2:
+        mags.append(mags[-1] * 10.0)
     mags.append(m2)
     pts = sorted(sign * m for m in mags)
     pts[0], pts[-1] = min(lo, hi), max(lo, hi)
     return pts
 
 
-def _piece_blocks(lo: float, hi: float, spec: ReconstructionSpec):
+def _piece_blocks(lo: float, hi: float):
     """Block edges for one scan piece; splits at +-1 when the piece crosses zero widely."""
     if lo < 0.0 < hi and (hi - lo) > 100.0:
         parts = [(lo, -1.0), (-1.0, 1.0), (1.0, hi)]
@@ -117,7 +113,7 @@ def _piece_blocks(lo: float, hi: float, spec: ReconstructionSpec):
         if u < 0.0 < v:
             edges.append([u, v])
         else:
-            edges.append(_decade_edges(u, v, spec.geometric_ratio))
+            edges.append(_decade_edges(u, v))
     blocks = []
     for es in edges:
         blocks.extend(zip(es[:-1], es[1:]))
@@ -187,7 +183,7 @@ def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> Reconstruction
     cut_points.append(hi)
     pieces = [(u, v) for u, v in zip(cut_points[::2], cut_points[1::2]) if u < v]
 
-    n_pieces_blocks = sum(len(_piece_blocks(u, v, spec)) for u, v in pieces)
+    n_pieces_blocks = sum(len(_piece_blocks(u, v)) for u, v in pieces)
     scan_nx = int(max(9, min(61, 4000 / max(1, n_pieces_blocks))))
 
     density_parts = []
@@ -195,14 +191,13 @@ def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> Reconstruction
     n_nodes = 0
     for u, v in pieces:
         xs_all = []
-        for blo, bhi in _piece_blocks(u, v, spec):
+        for blo, bhi in _piece_blocks(u, v):
             xs_all.append(_lobatto_arctan(blo, bhi, spec.nodes_per_block))
         xs = np.unique(np.concatenate(xs_all))
-        if spec.check_simple:
-            beta = sup_abs_growth(f, u, v, nx=scan_nx, ny=9)
-            if beta > 1.35:
-                raise NonSimpleBehaviorError(
-                    f"density scan piece [{u}, {v}]: |f| grows like y^-{beta:.2f}")
+        beta = sup_abs_growth(f, u, v, nx=scan_nx, ny=9)
+        if beta > 1.35:
+            raise NonSimpleBehaviorError(
+                f"density scan piece [{u}, {v}]: |f| grows like y^-{beta:.2f}")
         vals, errs = density_grid(f, xs, spec.schedule)
         max_density_err = max(max_density_err, float(np.max(errs)))
         n_nodes += len(xs)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from herglotz import (CatalogSpec, boundary_functional, boundary_limit_order_m,
-                      c02_from_callables, catalog_build, normalized_antiderivative,
-                      pair_with_phi, phi_profile, star_reflect)
-from herglotz.boundary_limits import conjugate_c02
+from herglotz import (C02Function, CatalogSpec, boundary_functional,
+                      boundary_limit_order_m, c02_from_callables, catalog_build,
+                      normalized_antiderivative, pair_with_phi, phi_profile,
+                      star_reflect)
 from herglotz.errors import NonSimpleBehaviorError, SpecError
+from herglotz.extraction import sup_abs_growth
 from herglotz.testing import smooth_bump
 
 
@@ -188,12 +189,43 @@ def test_direct_integral_agreement_for_holomorphic_crossing(tan_fn):
         assert abs(v - direct_re) <= 1e-8
 
 
-def test_conjugate_c02_roundtrip():
+@pytest.mark.parametrize("spec, a, b, delta", [
+    (CatalogSpec("rational", {"a": 0.3 - 0.2j, "b": 1 + 1j, "poles": [0.1, 2.0],
+                              "coeffs": [1 + 2j, -0.5j]}), -1.0, 1.5, 0.45),
+    (CatalogSpec("power", {"p": 0.3 + 0.4j}), -2.0, -0.5, 0.3),
+])
+def test_lower_side_matches_star_reflected_upper(spec, a, b, delta):
+    # f is not star-symmetric and h'(a), h'(b) != 0, so the lower limit and its
+    # endpoint terms differ from the upper ones; the reference is the
+    # conjugated upper limit of the star reflection against conj(h).
+    f = catalog_build(spec)
     h = normalized_antiderivative(
-        lambda x: (1.0 + 2j) * np.asarray(x, dtype=float), 0.0, 1.0)
-    hc = conjugate_c02(h)
-    xs = np.linspace(0, 1, 7)
-    assert np.max(np.abs(hc.h(xs) - np.conj(h.h(xs)))) < 1e-14
+        lambda x: np.exp(1j * np.asarray(x, dtype=float)) + 0.5 * np.asarray(x), a, b)
+    assert np.min(np.abs(h.h1(np.array([a, b])))) > 0.1
+    h_conj = C02Function(a, b, lambda x: np.conj(h.h(x)), lambda x: np.conj(h.h1(x)),
+                         lambda x: np.conj(h.h2(x)))
+    upper = boundary_functional(f, h, delta, side="upper")
+    lower = boundary_functional(f, h, delta, side="lower")
+    ref = np.conj(boundary_functional(star_reflect(f), h_conj, delta, side="upper"))
+    assert type(upper) is complex and type(lower) is complex
+    assert abs(lower - ref) <= 1e-12 * (1.0 + abs(ref))
+    assert abs(lower - upper) > 1e-3
+    low = phi_profile(f, a, b, delta, nodes=15, side="lower")
+    up_star = phi_profile(star_reflect(f), a, b, delta, nodes=15, side="upper")
+    assert np.max(np.abs(np.asarray(low.values) - np.conj(up_star.values))) <= 1e-12
+
+
+def test_unknown_side_rejected(minus_inverse):
+    h = normalized_antiderivative(lambda x: np.ones(np.shape(x)), -1.0, 1.0)
+    test = smooth_bump(-1.0, 1.0)
+    with pytest.raises(SpecError):
+        boundary_functional(minus_inverse, h, 0.5, side="Lower")
+    with pytest.raises(SpecError):
+        boundary_limit_order_m(minus_inverse, test, -1.0, 1.0, 0.5, 1, side="Lower")
+    with pytest.raises(SpecError):
+        phi_profile(minus_inverse, -1.0, 1.0, 0.5, side="Lower")
+    with pytest.raises(SpecError):
+        sup_abs_growth(minus_inverse, -1.0, 1.0, side="Lower")
 
 
 def test_phi_profile_lower_side(minus_inverse):

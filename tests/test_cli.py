@@ -81,6 +81,10 @@ def test_extract_tol_drives_divergence_test(tmp_path, power_half_spec):
     (["reconstruct", "--spec", "f.json", "--window=-1,1"], ["--force"]),
     (["circle-line", "--spec", "f.json", "--window=-4,-1"], ["--side", "lower"]),
     (["extract", "--spec", "f.json", "--window=-1,1"], ["--side", "lower"]),
+    (["check", "poisson-identity"],
+     ["--spec", "nothing.json", "--tol", "5", "--force", "--window=9,1"]),
+    (["check", "vladimirov", "--spec", "f.json"], ["--window=-1,1"]),
+    (["check", "inversion-duality", "--spec", "f.json", "--window=1,4"], ["--force"]),
 ])
 def test_unread_flag_exits_1(tmp_path, capsys, argv, unread):
     assert main(argv + unread + ["--out", str(tmp_path / "o")]) == 1
