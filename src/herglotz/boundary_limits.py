@@ -177,17 +177,26 @@ class PhiProfile:
     delta: float
     segments: tuple  # ((lo, hi, nodes, values), ...)
 
+    def _samples(self):
+        """(node, value) pairs in order; a segment's first sample is skipped
+        when it repeats the previous segment's last node."""
+        out, last = [], None
+        for _, _, ts, vs in self.segments:
+            skip = int(last is not None and ts[0] == last)
+            out.extend(zip(ts[skip:], vs[skip:]))
+            last = ts[-1]
+        return out
+
     @property
     def nodes(self) -> tuple:
-        return tuple(t for seg in self.segments for t in seg[2])
+        return tuple(t for t, _ in self._samples())
 
     @property
     def values(self) -> tuple:
-        return tuple(v for seg in self.segments for v in seg[3])
+        return tuple(v for _, v in self._samples())
 
     def rows(self):
-        return [(float(t), complex(v).real, complex(v).imag)
-                for t, v in zip(self.nodes, self.values)]
+        return [(float(t), complex(v).real, complex(v).imag) for t, v in self._samples()]
 
 
 def _interior_kinks(f: AnalyticFunction, a: float, b: float):
@@ -241,7 +250,9 @@ def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
     corner_a, corner_b = _corners(f, (a, b), delta, 1, sgn, atol)
 
     def phi_at(t: float, e_t: complex) -> complex:
-        if t < b:
+        if t == a:
+            p = s1
+        elif t < b:
             p, _ = adaptive_quad(lambda x: (x + iy - t) * line(x), t, b, atol=atol)
         else:
             p = 0j
@@ -249,13 +260,17 @@ def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
         w_a = (b - t) / (b - a)
         return complex(p - w_a * s1 + w_b * corner_b + w_a * corner_a - e_t)
 
-    segments = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        ts = _lobatto(lo, hi, per_seg)
-        e_ts = _corners(f, ts, delta, 1, sgn, atol)
-        vs = tuple(phi_at(float(t), e_t) for t, e_t in zip(ts, e_ts))
-        segments.append((float(lo), float(hi), tuple(ts.tolist()), vs))
-    return PhiProfile(float(a), float(b), float(delta), tuple(segments))
+    # Neighbouring segments share their edge node (the Lobatto ends are
+    # pinned), so each node is evaluated once; E at a and b is the corner pair.
+    step = per_seg - 1
+    seg_ts = [_lobatto(lo, hi, per_seg) for lo, hi in zip(edges[:-1], edges[1:])]
+    ts = np.concatenate([seg_ts[0][:1]] + [t[1:] for t in seg_ts])
+    e_ts = np.concatenate(([corner_a], _corners(f, ts[1:-1], delta, 1, sgn, atol), [corner_b]))
+    vs = tuple(phi_at(t, e_t) for t, e_t in zip(ts.tolist(), e_ts))
+    segments = tuple((float(lo), float(hi), tuple(ts[k * step:(k + 1) * step + 1].tolist()),
+                      vs[k * step:(k + 1) * step + 1])
+                     for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])))
+    return PhiProfile(float(a), float(b), float(delta), segments)
 
 
 def pair_with_phi(profile: PhiProfile, h02: C02Function, *,

@@ -234,13 +234,21 @@ def _side_sign(side: str) -> float:
     return _SIDES[side]
 
 
-def sup_abs_growth(f: AnalyticFunction, a: float, b: float, *,
+def sup_abs_growth(f: AnalyticFunction, a, b, *,
                    y_top: float = 0.25, y_floor: float = 1e-4,
-                   nx: int = 61, ny: int = 17, side: str = "upper") -> float:
-    """Fitted exponent beta of sup_x |f(x + iy)| ~ y^(-beta) on [a, b]."""
+                   nx: int = 61, ny: int = 17, side: str = "upper"):
+    """Fitted exponent beta of sup_x |f(x + iy)| ~ y^(-beta) on [a, b].
+
+    a and b may be arrays of interval ends: every interval is scanned in one
+    call of f and an array of exponents comes back, one per interval.  Scalar
+    ends give a float.
+    """
+    sgn = _side_sign(side)
     ys = np.logspace(math.log10(y_top), math.log10(y_floor), ny)
-    xs = np.linspace(a, b, nx)
-    Z = xs[None, :] + _side_sign(side) * 1j * ys[:, None]
-    sup = np.abs(f(Z)).max(axis=1)
+    a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    xs = np.linspace(a_arr.ravel(), b_arr.ravel(), nx, axis=1)
+    Z = xs.ravel()[None, :] + sgn * 1j * ys[:, None]
+    sup = np.abs(f(Z)).reshape(ny, -1, nx).max(axis=2)
     slope = np.polyfit(np.log(ys), np.log(np.maximum(sup, 1e-300)), 1)[0]
-    return float(-slope)
+    beta = -slope
+    return float(beta[0]) if a_arr.ndim == 0 else beta.reshape(a_arr.shape)

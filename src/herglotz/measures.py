@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import SpecError
 from .quadrature import quad_real_line
@@ -330,25 +329,73 @@ def _pushforward_density(A: MobiusMatrix, d: DensityPart, det: float):
 # Densities from descriptors (file format support)
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, clipped to keep the end monotone."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    keep = np.sign(d) == np.sign(m0)
+    cap = keep & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(keep, np.where(cap, 3.0 * m0, d), 0.0)
+
+
+def _pchip_coefficients(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Monotone cubic Hermite coefficients (c0..c3 per interval) through (ts, ys).
+
+    ys is (n, k): k real columns interpolated at once.  Slopes are the
+    Fritsch-Butland weighted harmonic means of the neighbouring secants,
+    zero where they differ in sign or vanish, with one-sided three-point
+    ends (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980); two nodes give
+    the line.  The operations and their order are those of the reference
+    PCHIP the tests compare against bit for bit.  Returns (n - 1, 4, k), the
+    cubic coefficient first.
+    """
+    h = np.diff(ts)[:, None]
+    m = np.diff(ys, axis=0) / h
+    if len(ts) == 2:
+        d = np.concatenate((m, m))
+    else:
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d = np.concatenate((_pchip_end_slope(h[0], h[1], m[0], m[1])[None], inner,
+                            _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])[None]))
+    if not np.all(np.isfinite(d)):
+        raise SpecError("table slopes overflow; nodes too close for their values")
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1]), axis=1)
+
+
 def table_density(xs: Sequence[float], vals: Sequence[complex]) -> DensityPart:
     """Sampled density with monotone cubic interpolation.
 
     Interpolation runs in the 2*arctan coordinate so that tables on unbounded
-    or very wide supports stay well conditioned.
+    or very wide supports stay well conditioned.  Real and imaginary parts are
+    interpolated apart; each interval keeps its four complex coefficients in
+    one row, and an evaluation gathers one row per point.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.asarray(vals, dtype=complex)
     if len(xs) < 2 or np.any(np.diff(xs) <= 0):
         raise SpecError("table nodes must be strictly increasing, length >= 2")
+    if vals.shape != xs.shape or not np.all(np.isfinite(vals)):
+        raise SpecError("table values must be finite, one per node")
     ts = 2.0 * np.arctan(xs)
-    pre = PchipInterpolator(ts, vals.real, extrapolate=False)
-    pim = PchipInterpolator(ts, vals.imag, extrapolate=False)
+    if not np.all(np.diff(ts) > 0):
+        raise SpecError("table nodes collide in the 2*arctan coordinate")
+    coef = _pchip_coefficients(ts, np.stack((vals.real, vals.imag), axis=1))
+    last = len(ts) - 2
     lo, hi = float(xs[0]), float(xs[-1])
 
     def fn(x):
-        t = 2.0 * np.arctan(np.asarray(x, dtype=float))
-        t = np.clip(t, ts[0], ts[-1])
-        return pre(t) + 1j * pim(t)
+        t = np.clip(2.0 * np.arctan(np.asarray(x, dtype=float)), ts[0], ts[-1])
+        # Interval k holds ts[k] <= t < ts[k+1]; the last one is closed.
+        k = np.minimum(np.searchsorted(ts, t, "right") - 1, last)
+        s = (t - ts[k])[..., None]
+        c = coef[k]
+        v = 0.0 + c[..., 3, :] + c[..., 2, :] * s + c[..., 1, :] * (s * s) \
+            + c[..., 0, :] * (s * s * s)
+        return v[..., 0] + 1j * v[..., 1]
 
     desc = {"kind": "table", "support": [lo, hi],
             "xs": [float(v) for v in xs],

@@ -155,6 +155,18 @@ def _window_truncated(f: AnalyticFunction, lo: float, hi: float) -> bool:
     return False
 
 
+def _integrates_measure(f: AnalyticFunction) -> bool:
+    """Whether f is evaluated by quadrature over a measure: a cauchy or
+    disc_herglotz catalog function, or one built from it by an operation that
+    keeps the descriptor as its "base"."""
+    d = f.descriptor
+    while d is not None:
+        if d.get("kind") in ("cauchy", "disc_herglotz"):
+            return True
+        d = d.get("base")
+    return False
+
+
 def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> ReconstructionResult:
     """Recover density table, atoms, and constant for f over the scan window."""
     lo, hi = spec.window
@@ -183,25 +195,36 @@ def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> Reconstruction
     cut_points.append(hi)
     pieces = [(u, v) for u, v in zip(cut_points[::2], cut_points[1::2]) if u < v]
 
-    n_pieces_blocks = sum(len(_piece_blocks(u, v)) for u, v in pieces)
-    scan_nx = int(max(9, min(61, 4000 / max(1, n_pieces_blocks))))
-
+    # Every piece's nodes first; then the scan and the density tableau run
+    # over batches of pieces, split back per piece.  The tableau works column
+    # by column, so with a pointwise evaluator one batch of every piece gives
+    # each piece exactly the values a call of its own gives.  An evaluator
+    # that integrates a measure refines its quadrature for all points of a
+    # call together, at a cost of windows x points that would grow with the
+    # number of pieces, so there every piece is a batch of its own.
+    blocks = [_piece_blocks(u, v) for u, v in pieces]
+    piece_xs = [np.unique(np.concatenate([_lobatto_arctan(blo, bhi, spec.nodes_per_block)
+                                          for blo, bhi in bs])) for bs in blocks]
     density_parts = []
     max_density_err = 0.0
-    n_nodes = 0
-    for u, v in pieces:
-        xs_all = []
-        for blo, bhi in _piece_blocks(u, v):
-            xs_all.append(_lobatto_arctan(blo, bhi, spec.nodes_per_block))
-        xs = np.unique(np.concatenate(xs_all))
-        beta = sup_abs_growth(f, u, v, nx=scan_nx, ny=9)
-        if beta > 1.35:
-            raise NonSimpleBehaviorError(
-                f"density scan piece [{u}, {v}]: |f| grows like y^-{beta:.2f}")
-        vals, errs = density_grid(f, xs, spec.schedule)
-        max_density_err = max(max_density_err, float(np.max(errs)))
-        n_nodes += len(xs)
-        density_parts.append(table_density(xs, vals))
+    if pieces:
+        n = len(pieces)
+        batches = ([slice(k, k + 1) for k in range(n)] if _integrates_measure(f)
+                   else [slice(0, n)])
+        scan_nx = int(max(9, min(61, 4000 / sum(map(len, blocks)))))
+        us, vs = np.array(pieces).T
+        betas = np.concatenate([sup_abs_growth(f, us[b], vs[b], nx=scan_nx, ny=9)
+                                for b in batches])
+        for (u, v), beta in zip(pieces, betas):
+            if beta > 1.35:
+                raise NonSimpleBehaviorError(
+                    f"density scan piece [{u}, {v}]: |f| grows like y^-{beta:.2f}")
+        for b in batches:
+            vals, errs = density_grid(f, np.concatenate(piece_xs[b]), spec.schedule)
+            max_density_err = max(max_density_err, float(np.max(errs)))
+            ends = np.cumsum([len(xs) for xs in piece_xs[b]])[:-1]
+            density_parts += [table_density(xs, v)
+                              for xs, v in zip(piece_xs[b], np.split(vals, ends))]
 
     constant = 0.5 * (f(1j) + f(-1j))
     residues = tuple(
@@ -213,7 +236,7 @@ def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> Reconstruction
         "window": [lo, hi],
         "pieces": [[u, v] for u, v in pieces],
         "exclusion_radii": {str(s): radii[s] for s in sigmas},
-        "density_nodes": n_nodes,
+        "density_nodes": sum(map(len, piece_xs)),
         "max_density_error_estimate": max_density_err,
         "atom_error_estimates": {str(k): v for k, v in atom_errs.items()},
         "window_truncated": truncated,

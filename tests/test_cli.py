@@ -242,6 +242,21 @@ def test_check_variation_bound_with_measure_file(tmp_path):
     assert report["pass"] is True and len(report["items"]) == 3
 
 
+def test_check_variation_bound_colliding_table_nodes_exit_1(tmp_path, capsys):
+    # Distinct nodes whose 2*arctan coordinates coincide: a configuration
+    # error, not a traceback.
+    measure = {"picture": "line", "atoms": [],
+               "densities": [{"kind": "table", "support": [1e16, 3e16],
+                              "xs": [1e16, 2e16, 3e16],
+                              "vals": [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]}]}
+    (tmp_path / "m.json").write_text(json.dumps(measure))
+    spec = _write_spec(tmp_path / "c.json",
+                       {"kind": "cauchy", "measure": "m.json", "constant": [0.0, 0.0]})
+    code = main(["check", "variation-bound", "--spec", spec, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_check_inversion_duality(tmp_path):
     spec = _write_spec(tmp_path / "inv.json",
                        {"kind": "rational", "a": [0, 0], "b": [0, 0],

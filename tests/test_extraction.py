@@ -7,7 +7,7 @@ from herglotz import (Atom, BoundaryMeasure, CatalogSpec, LimitSchedule,
                       catalog_build, density_at, density_grid,
                       extract_functional, simple_scan, star_reflect,
                       vladimirov_norm)
-from herglotz.extraction import atomic_mass_batch
+from herglotz.extraction import atomic_mass_batch, sup_abs_growth
 from herglotz.errors import NonSimpleBehaviorError
 from herglotz.measures import TestFunction
 from herglotz.testing import constant_one, smooth_bump
@@ -159,3 +159,18 @@ def test_infinity_blindness(identity_fn):
     got = extract_functional(identity_fn, constant_one())
     assert abs(got.value) <= 1e-8
     assert abs(atomic_mass_at_infinity(identity_fn) - 1.0) <= 1e-10
+
+
+def test_sup_abs_growth_batched_matches_scalar(tan_fn, minus_inverse):
+    us = np.array([-3.0, -0.5, 0.2, 1.0, 4.0])
+    vs = np.array([-1.0, 0.5, 0.9, 2.2, 9.0])
+    for f in (tan_fn, minus_inverse):
+        for side in ("upper", "lower"):
+            betas = sup_abs_growth(f, us, vs, nx=9, ny=9, side=side)
+            single = [sup_abs_growth(f, u, v, nx=9, ny=9, side=side) for u, v in zip(us, vs)]
+            assert betas.shape == us.shape
+            assert all(isinstance(b, float) for b in single)
+            assert np.max(np.abs(betas - single)) <= 1e-12
+    # a pole inside the interval is a y^-1 growth, and only there
+    betas = sup_abs_growth(minus_inverse, us, vs)
+    assert abs(betas[1] - 1.0) < 0.05 and np.all(np.abs(np.delete(betas, 1)) < 0.05)

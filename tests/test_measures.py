@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from herglotz import (Atom, BoundaryMeasure, MobiusMatrix, TestFunction,
                       conjugate, integrate, measure_from_json, measure_to_json,
@@ -169,6 +171,61 @@ def test_table_density_roundtrip():
     probe = np.array([-3.3, -2.1, -1.7])
     assert np.max(np.abs(d(probe) - np.sqrt(-probe) * (1 + 0.5j))) < 1e-5
     assert np.all(d(np.array([-5.0, 0.5])) == 0)
+
+
+def test_table_density_rejects_colliding_arctan_nodes():
+    # Distinct nodes whose 2*arctan coordinates round to the same value.
+    with pytest.raises(SpecError, match="2\\*arctan"):
+        table_density([1e16, 2e16, 3e16], [1.0, 2.0, 3.0])
+    with pytest.raises(SpecError):
+        table_density([0.0, 1.0], [1.0, np.nan])
+    with pytest.raises(SpecError):
+        table_density([0.0, 1.0, 2.0], [1.0, 2.0])
+
+
+_TABLE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                          st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def _tables(draw):
+    """Increasing nodes with values drawn to give flat runs, zeros and sign changes."""
+    xs = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=2, max_size=24,
+                       unique=True))
+    xs = np.sort(np.array(xs))
+    n = len(xs)
+    re = draw(st.lists(_TABLE_VALUES, min_size=n, max_size=n))
+    im = draw(st.lists(_TABLE_VALUES, min_size=n, max_size=n))
+    return xs, np.array(re) + 1j * np.array(im)
+
+
+def _scipy_table(xs, vals, x):
+    ts = 2.0 * np.arctan(xs)
+    t = np.clip(2.0 * np.arctan(x), ts[0], ts[-1])
+    return (PchipInterpolator(ts, vals.real, extrapolate=False)(t)
+            + 1j * PchipInterpolator(ts, vals.imag, extrapolate=False)(t))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_tables(), st.lists(st.floats(-2e3, 2e3, allow_nan=False), max_size=16))
+@example((np.array([-1.0, 2.0]), np.array([1.0 - 1j, -3.0 + 0j])), [-5.0, 0.5, 7.0])
+@example((np.linspace(-3.0, 3.0, 9), np.array([0, 0, 1, 1, 1, -2, -2, 0, 5]) * (1 + 1j)),
+         [-1.5, 0.25])
+@example((np.array([-1.0, 0.0, 2.0]), np.array([-1j, 1.0, -1.0])), [])  # a signed zero
+def test_table_interpolant_matches_scipy_pchip_bitwise(table, extra):
+    xs, vals = table
+    # Every node, both ends, midpoints, and points clipped from outside.
+    x = np.concatenate([xs, 0.5 * (xs[1:] + xs[:-1]), [xs[0] - 1.0, xs[-1] + 1.0],
+                        np.array(extra)])
+    try:
+        want = _scipy_table(xs, vals, x)
+    except ValueError:
+        # Nodes colliding in the arctan coordinate, or slopes that overflow.
+        with pytest.raises(SpecError):
+            table_density(xs, vals)
+        return
+    got = table_density(xs, vals).fn(x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_measure_json_roundtrip():

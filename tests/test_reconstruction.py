@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from herglotz import (CatalogSpec, MobiusMatrix, ReconstructionSpec,
-                      catalog_build, conjugate, integrate, pushforward_mobius,
-                      reconstruct, resynthesis_residual, tan_sigma_log_masses)
-from herglotz.catalog import compose_mobius
+from herglotz import (AnalyticFunction, Atom, BoundaryMeasure, CatalogSpec,
+                      MobiusMatrix, ReconstructionSpec, catalog_build, conjugate,
+                      density_grid, integrate, pushforward_mobius, reconstruct,
+                      resynthesis_residual, tan_sigma_log_masses)
+from herglotz.catalog import compose_mobius, star_reflect
+from herglotz.measures import density_from_descriptor
 from herglotz.errors import NonSimpleBehaviorError, SpecError
 from herglotz.testing import smooth_bump
 
@@ -120,9 +122,64 @@ def test_simple_behavior_gate():
         reconstruct(f, ReconstructionSpec(window=(-2.0, 2.0), sigma_points=(0.0,)))
 
 
+def test_scan_gate_names_first_failing_piece():
+    # Double poles make |f| grow like y^-2; the pieces are [-2, -0.001],
+    # [0.001, 2.999] and [3.001, 8], scanned in one pass.
+    spec = ReconstructionSpec(window=(-2.0, 8.0), sigma_points=(0.0, 3.0))
+
+    def double_poles(*poles):
+        return AnalyticFunction(
+            lambda z: sum(1.0 / (np.asarray(z) - q) ** 2 for q in poles), "half-plane")
+
+    with pytest.raises(NonSimpleBehaviorError) as err:
+        reconstruct(double_poles(5.0), spec)
+    assert str(err.value) == "density scan piece [3.001, 8.0]: |f| grows like y^-1.64"
+    with pytest.raises(NonSimpleBehaviorError) as err:
+        reconstruct(double_poles(5.0, -1.5), spec)
+    assert str(err.value) == "density scan piece [-2.0, -0.001]: |f| grows like y^-1.83"
+
+
+def _bits(z):
+    z = np.asarray(z, dtype=complex)
+    return np.stack((z.real, z.imag), axis=-1).view(np.uint64)
+
+
+@pytest.mark.parametrize("case", ["tan", "sqrt", "cauchy"])
+def test_density_tables_match_per_piece_calls(case, tan_fn, sqrt_fn):
+    # tan and z^(1/2) are pointwise and take one density pass for all pieces;
+    # a Cauchy transform (here behind star_reflect, which keeps it as the
+    # descriptor's base) integrates its measure per call and is evaluated
+    # piece by piece.  Either way each table is its piece's own call.
+    if case == "tan":
+        sig = tuple(np.pi * n / 2.0 for n in range(-39, 40, 2))
+        f, spec = tan_fn, ReconstructionSpec(window=(-20 * np.pi, 20 * np.pi),
+                                             sigma_points=sig, include_infinity=True,
+                                             nodes_per_block=8)
+    elif case == "sqrt":
+        f, spec = sqrt_fn, ReconstructionSpec(window=(-1e9, 1.0), sigma_points=(0.0,),
+                                              include_infinity=True)
+    else:
+        dens = density_from_descriptor({"kind": "catalog-power", "p": [0.5, 0.0],
+                                        "support": [-1e9, 0.0]})
+        m = BoundaryMeasure((Atom(1.0, 0.5),), (dens,), "line")
+        f = star_reflect(catalog_build(CatalogSpec("cauchy", {"measure": m})))
+        spec = ReconstructionSpec(window=(-5.0, -0.5), sigma_points=(-2.0,),
+                                  nodes_per_block=4)
+    res = reconstruct(f, spec)
+    assert len(res.measure.densities) == len(res.diagnostics["pieces"]) > 1
+    worst, nodes = 0.0, 0
+    for d in res.measure.densities:
+        xs = np.array(d.descriptor["xs"])
+        table = np.array([complex(re, im) for re, im in d.descriptor["vals"]])
+        vals, errs = density_grid(f, xs, spec.schedule)
+        assert np.array_equal(_bits(table), _bits(vals))
+        worst, nodes = max(worst, float(np.max(errs))), nodes + len(xs)
+    assert res.diagnostics["max_density_error_estimate"] == worst
+    assert res.diagnostics["density_nodes"] == nodes
+
+
 def test_star_covariance_of_reconstruction():
     f = catalog_build(CatalogSpec("power", {"p": 0.5 + 0.2j}))
-    from herglotz.catalog import star_reflect
     spec = ReconstructionSpec(window=(-5.0, -0.5), nodes_per_block=16)
     res = reconstruct(f, spec)
     res_star = reconstruct(star_reflect(f), spec)
