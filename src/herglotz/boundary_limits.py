@@ -203,14 +203,9 @@ def _interior_kinks(f: AnalyticFunction, a: float, b: float):
     """Interior points of [a, b] where the profile may lose analyticity."""
     pts = set()
     for entry in f.boundary_support:
-        if entry[0] == "point":
-            p = entry[1]
+        for p in entry[1:]:
             if math.isfinite(p) and a < p < b:
                 pts.add(float(p))
-        else:
-            for p in entry[1:]:
-                if math.isfinite(p) and a < p < b:
-                    pts.add(float(p))
     if f.pole_locator is not None:
         for p in np.atleast_1d(f.pole_locator(a, b)):
             if a < p < b:
@@ -291,8 +286,6 @@ def pair_with_phi(profile: PhiProfile, h02: C02Function, *,
 
 def _test_derivative(test: TestFunction, k: int, a: float, b: float,
                      cheb: Optional[Chebyshev]):
-    if k == 0:
-        return test.__call__, cheb
     if len(test.derivs) >= k:
         return test.derivative(k), cheb
     if cheb is None:

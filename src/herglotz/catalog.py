@@ -431,7 +431,6 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
             locator = None
         else:
             fn = lambda z: np.exp(pw * np.log(z)) / np.log(z)
-            simple = -1.0 <= pw.real <= 1.0
             has_rep = -1.0 < pw.real < 1.0
             support = (("interval", -INF, 0.0), ("point", 1.0))
             locator = (lambda lo, hi:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .catalog import AnalyticFunction, invert_variable
 from .errors import SpecError
-from .extrapolation import ExtrapolatedLimit, LimitSchedule, limit_from_samples
+from .extrapolation import ExtrapolatedLimit, LimitSchedule
 from .measures import TestFunction
 from .quadrature import adaptive_quad, quad_real_line, trapezoid_periodic
 
@@ -38,32 +38,18 @@ __all__ = [
     "joined_distribution_check",
 ]
 
-DEFAULT_Y_SCHEDULE = LimitSchedule()
 
+class RadiusSchedule(LimitSchedule):
+    """Radii r_k = 1 - y_k approaching the unit circle from inside.
 
-@dataclass(frozen=True)
-class RadiusSchedule:
-    """Radii r_k = 1 - gap0 * ratio^k approaching the unit circle from inside."""
-
-    gap0: float = 0.5
-    ratio: float = 0.5
-    steps: int = 12
-    order: int = 8
+    The heights are the gaps 1 - r, so y0 < 1 keeps every radius positive.
+    """
 
     def __post_init__(self):
-        if not (0 < self.gap0 < 1 and 0 < self.ratio < 1 and self.steps >= 3):
-            raise SpecError("require gap0, ratio in (0,1) and steps >= 3")
+        super().__post_init__()
+        if self.y0 >= 1:
+            raise SpecError("require y0 < 1 for a radius schedule")
 
-    @property
-    def gaps(self) -> np.ndarray:
-        return self.gap0 * self.ratio ** np.arange(self.steps)
-
-    @property
-    def radii(self) -> np.ndarray:
-        return 1.0 - self.gaps
-
-
-DEFAULT_R_SCHEDULE = RadiusSchedule()
 
 # Full-period trapezoid sums resolve structure of scale 1-r only while
 # 8192 * (1-r) stays large; the joined check therefore stops its radius
@@ -106,12 +92,11 @@ def circle_measure_functional(phi: AnalyticFunction, r: float,
 
 
 def circle_limit(phi: AnalyticFunction, test: TestFunction,
-                 rsched: RadiusSchedule = DEFAULT_R_SCHEDULE, *,
+                 rsched: RadiusSchedule = RadiusSchedule(), *,
                  atol: float = 1e-11) -> ExtrapolatedLimit:
     """Weak* limit of the circle measures against a test function, r -> 1."""
-    gaps = rsched.gaps
-    vals = [circle_measure_functional(phi, 1.0 - g, test, atol=atol) for g in gaps]
-    return limit_from_samples(gaps, vals, order=rsched.order)
+    return rsched.limit(lambda gap: circle_measure_functional(phi, 1.0 - gap, test,
+                                                              atol=atol))
 
 
 @dataclass(frozen=True)
@@ -136,44 +121,52 @@ class GapReport:
         }
 
 
+def _gap_report(lhs: ExtrapolatedLimit, rhs: ExtrapolatedLimit, lhs_what: str,
+                rhs_what: str, r_seq, y_seq) -> GapReport:
+    """Both limits must converge; the report keeps their values and schedules."""
+    lhs.require_converged(lhs_what)
+    rhs.require_converged(rhs_what)
+    return GapReport(lhs.value, rhs.value, abs(lhs.value - rhs.value),
+                     tuple(np.asarray(r_seq).tolist()), tuple(np.asarray(y_seq).tolist()),
+                     lhs.error_estimate, rhs.error_estimate)
+
+
 def _inner_circle_side(f: AnalyticFunction, test: TestFunction,
                        rsched: RadiusSchedule, atol: float) -> ExtrapolatedLimit:
     lo, hi = test.support
-    ta = 2.0 * math.atan(lo) if math.isfinite(lo) else -math.pi
-    tb = 2.0 * math.atan(hi) if math.isfinite(hi) else math.pi
+    ta, tb = 2.0 * math.atan(lo), 2.0 * math.atan(hi)
 
-    def integrand(t, r):
-        t = np.asarray(t, dtype=float)
-        s = np.tan(0.5 * t)
-        w = 1j * (1.0 - r * np.exp(1j * t)) / (1.0 + r * np.exp(1j * t))
-        return test(s) * (-1j) * f(w)
+    def sample(gap):
+        r = 1.0 - gap
 
-    gaps = rsched.gaps
-    vals = []
-    for g in gaps:
-        r = 1.0 - g
-        v, _ = adaptive_quad(lambda t: integrand(t, r), ta, tb, atol=atol)
-        vals.append(v)
-    return limit_from_samples(gaps, vals, order=rsched.order)
+        def integrand(t):
+            t = np.asarray(t, dtype=float)
+            s = np.tan(0.5 * t)
+            w = 1j * (1.0 - r * np.exp(1j * t)) / (1.0 + r * np.exp(1j * t))
+            return test(s) * (-1j) * f(w)
+        return adaptive_quad(integrand, ta, tb, atol=atol)[0]
+
+    return rsched.limit(sample)
+
+
+def _line_integrand(f: AnalyticFunction, test: TestFunction, y: float):
+    """s -> test(s) f(s + iy) 2/(1+s^2), the half-plane side of the chart change."""
+    def integrand(s):
+        s = np.asarray(s, dtype=float)
+        return test(s) * f(s + 1j * y) * 2.0 / (1.0 + s * s)
+    return integrand
 
 
 def _line_side(f: AnalyticFunction, test: TestFunction, sched: LimitSchedule,
                atol: float) -> ExtrapolatedLimit:
     lo, hi = test.support
-    ys = sched.heights
-    vals = []
-    for y in ys:
-        def integrand(s, y=y):
-            s = np.asarray(s, dtype=float)
-            return test(s) * f(s + 1j * y) * 2.0 / (1.0 + s * s)
-        v, _ = quad_real_line(integrand, lo, hi, atol=atol)
-        vals.append(-1j * v)
-    return limit_from_samples(ys, vals, order=sched.order)
+    return sched.limit(
+        lambda y: -1j * quad_real_line(_line_integrand(f, test, y), lo, hi, atol=atol)[0])
 
 
 def consistency_gap(f: AnalyticFunction, test: TestFunction,
-                    sched: LimitSchedule = DEFAULT_Y_SCHEDULE,
-                    rsched: RadiusSchedule = DEFAULT_R_SCHEDULE, *,
+                    sched: LimitSchedule = LimitSchedule(),
+                    rsched: RadiusSchedule = RadiusSchedule(), *,
                     atol: float = 1e-11) -> GapReport:
     """Gap between the transported inner-circle limit and the half-plane limit.
 
@@ -184,12 +177,8 @@ def consistency_gap(f: AnalyticFunction, test: TestFunction,
     """
     circle = _inner_circle_side(f, test, rsched, atol)
     line = _line_side(f, test, sched, atol)
-    circle.require_converged("circle-side limit")
-    line.require_converged("line-side limit")
-    return GapReport(circle.value, line.value, abs(circle.value - line.value),
-                     tuple((1.0 - rsched.gaps).tolist()),
-                     tuple(sched.heights.tolist()),
-                     circle.error_estimate, line.error_estimate)
+    return _gap_report(circle, line, "circle-side limit", "line-side limit",
+                       1.0 - rsched.heights, sched.heights)
 
 
 def _transport_inversion(test: TestFunction) -> TestFunction:
@@ -210,13 +199,13 @@ def _transport_inversion(test: TestFunction) -> TestFunction:
                                     -1.0 / hi if math.isfinite(hi) else 0.0)))
     else:
         new_support = (-1.0, 1.0)
-    return TestFunction(fn, new_support, test.smoothness,
+    return TestFunction(fn, new_support,
                         value_at_inf=(complex(test(np.array([0.0]))[0])
                                       if lo <= 0.0 <= hi else 0j))
 
 
 def inversion_duality_gap(f: AnalyticFunction, test: TestFunction,
-                          sched: LimitSchedule = DEFAULT_Y_SCHEDULE, *,
+                          sched: LimitSchedule = LimitSchedule(), *,
                           atol: float = 1e-11) -> GapReport:
     """Gap in int test(x) f(x+i0)/(1+x^2) dx = int test(-1/x) f(-1/x + i0)/(1+x^2) dx.
 
@@ -227,29 +216,22 @@ def inversion_duality_gap(f: AnalyticFunction, test: TestFunction,
         raise SpecError("test support must be bounded away from 0 and infinity")
     tilde_f = invert_variable(f)
     tilde_test = _transport_inversion(test)
-    ys = sched.heights
 
-    def sample(fn, tst):
-        vals = []
-        for y in ys:
-            def integrand(x, y=y):
+    def side(fn, tst):
+        def sample(y):
+            def integrand(x):
                 x = np.asarray(x, dtype=float)
                 return tst(x) * fn(x + 1j * y) / (1.0 + x * x)
-            v, _ = quad_real_line(integrand, *tst.support, atol=atol)
-            vals.append(v)
-        return limit_from_samples(ys, vals, order=sched.order)
+            return quad_real_line(integrand, *tst.support, atol=atol)[0]
+        return sched.limit(sample)
 
-    lhs = sample(f, test)
-    rhs = sample(tilde_f, tilde_test)
-    lhs.require_converged("direct side")
-    rhs.require_converged("inverted side")
-    return GapReport(lhs.value, rhs.value, abs(lhs.value - rhs.value),
-                     (), tuple(ys.tolist()),
-                     lhs.error_estimate, rhs.error_estimate)
+    lhs = side(f, test)
+    rhs = side(tilde_f, tilde_test)
+    return _gap_report(lhs, rhs, "direct side", "inverted side", (), sched.heights)
 
 
 def joined_distribution_check(f: AnalyticFunction, test: TestFunction,
-                              sched: LimitSchedule = DEFAULT_Y_SCHEDULE,
+                              sched: LimitSchedule = LimitSchedule(),
                               rsched: RadiusSchedule = JOINED_R_SCHEDULE, *,
                               atol: float = 1e-11) -> GapReport:
     """Full-period circle pairing versus the two-chart line pairing.
@@ -261,40 +243,25 @@ def joined_distribution_check(f: AnalyticFunction, test: TestFunction,
     """
     disc = to_disc(f)
 
-    def g_factory(r):
+    def circle_sample(gap):
+        r = 1.0 - gap
+
         def g(t):
             t = np.asarray(t, dtype=float)
             s = np.tan(0.5 * t)
             return test(s) * disc.fn(r * np.exp(1j * t))
-        return g
+        return trapezoid_periodic(g, tol=atol)[0]
 
-    gaps = rsched.gaps
-    circle_vals = []
-    for gp in gaps:
-        v, _ = trapezoid_periodic(g_factory(1.0 - gp), tol=atol)
-        circle_vals.append(v)
-    circle = limit_from_samples(gaps, circle_vals, order=rsched.order)
+    circle = rsched.limit(circle_sample)
 
     tilde_f = invert_variable(f)
     tilde_test = _transport_inversion(test)
-    ys = sched.heights
-    line_vals = []
-    for y in ys:
-        def part_direct(s, y=y):
-            s = np.asarray(s, dtype=float)
-            return test(s) * f(s + 1j * y) * 2.0 / (1.0 + s * s)
 
-        def part_chart(u, y=y):
-            u = np.asarray(u, dtype=float)
-            return tilde_test(u) * tilde_f(u + 1j * y) * 2.0 / (1.0 + u * u)
+    def line_sample(y):
+        v1, _ = adaptive_quad(_line_integrand(f, test, y), -1.0, 1.0, atol=atol)
+        v2, _ = adaptive_quad(_line_integrand(tilde_f, tilde_test, y), -1.0, 1.0, atol=atol)
+        return -1j * (v1 + v2)
 
-        v1, _ = adaptive_quad(part_direct, -1.0, 1.0, atol=atol)
-        v2, _ = adaptive_quad(part_chart, -1.0, 1.0, atol=atol)
-        line_vals.append(-1j * (v1 + v2))
-    line = limit_from_samples(ys, line_vals, order=sched.order)
-
-    circle.require_converged("circle-side limit")
-    line.require_converged("line-side limit")
-    return GapReport(circle.value, line.value, abs(circle.value - line.value),
-                     tuple((1.0 - gaps).tolist()), tuple(ys.tolist()),
-                     circle.error_estimate, line.error_estimate)
+    line = sched.limit(line_sample)
+    return _gap_report(circle, line, "circle-side limit", "line-side limit",
+                       1.0 - rsched.heights, sched.heights)

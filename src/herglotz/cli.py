@@ -31,7 +31,7 @@ from .catalog import (AnalyticFunction, CatalogSpec, boundary_atoms_in_window,
 from .circle_line import consistency_gap, inversion_duality_gap
 from .errors import (DomainError, NonConvergentLimitError,
                      NonSimpleBehaviorError, SpecError)
-from .extrapolation import DIVERGENCE_FACTOR, LimitSchedule
+from .extrapolation import DIVERGENCE_FACTOR, LimitSchedule, diverged
 from .extraction import (atomic_mass_batch, density_grid, simple_scan,
                          vladimirov_norm)
 from .boundary_limits import phi_profile
@@ -157,8 +157,7 @@ def cmd_extract(args) -> int:
                [(x, v.real, v.imag, e) for x, v, e in zip(xs, vals, errs)])
     _write_json(out / "atoms.json", atoms)
 
-    bad = [float(x) for x, v, e in zip(xs, vals, errs)
-           if e > args.tol * (1.0 + abs(v))]
+    bad = xs[diverged(vals, errs, args.tol)].tolist()
     status = "ok" if not bad else "diverged"
     _write_json(out / "summary.json", {
         "status": status,

@@ -19,8 +19,7 @@ import numpy as np
 
 from .catalog import AnalyticFunction, invert_variable
 from .errors import NonSimpleBehaviorError, SpecError
-from .extrapolation import (DIVERGENCE_FACTOR, ExtrapolatedLimit,
-                            LimitSchedule, best_limit, limit_from_samples)
+from .extrapolation import ExtrapolatedLimit, LimitSchedule, best_limit, diverged
 from .measures import TestFunction
 from .quadrature import quad_real_line
 
@@ -38,7 +37,8 @@ __all__ = [
     "sup_abs_growth",
 ]
 
-DEFAULT_SCHEDULE = LimitSchedule()
+# Heights y = 1/u doubling from 4: u runs down the powers of two 2^-2 .. 2^-15.
+_INFINITY_SCHEDULE = LimitSchedule(y0=0.25, ratio=0.5, steps=14)
 
 
 def _plus_minus_difference(f: AnalyticFunction, x, y: float):
@@ -47,7 +47,7 @@ def _plus_minus_difference(f: AnalyticFunction, x, y: float):
 
 
 def extract_functional(f: AnalyticFunction, test: TestFunction,
-                       sched: LimitSchedule = DEFAULT_SCHEDULE, *,
+                       sched: LimitSchedule = LimitSchedule(), *,
                        atol: float = 1e-10) -> ExtrapolatedLimit:
     """Extrapolated value of the line-inversion functional against a test function.
 
@@ -55,16 +55,15 @@ def extract_functional(f: AnalyticFunction, test: TestFunction,
     silently discarded.
     """
     lo, hi = test.support
-    ys = sched.heights
-    vals = []
-    for y in ys:
-        def integrand(x, y=y):
+
+    def sample(y):
+        def integrand(x):
             x = np.asarray(x, dtype=float)
             return test(x) * _plus_minus_difference(f, x, y) \
                 / (2j * np.pi * (1.0 + x * x))
-        v, _ = quad_real_line(integrand, lo, hi, atol=atol)
-        vals.append(v)
-    return limit_from_samples(ys, vals, order=sched.order)
+        return quad_real_line(integrand, lo, hi, atol=atol)[0]
+
+    return sched.limit(sample)
 
 
 def _density_samples(f: AnalyticFunction, xs: np.ndarray, ys: np.ndarray):
@@ -75,7 +74,7 @@ def _density_samples(f: AnalyticFunction, xs: np.ndarray, ys: np.ndarray):
 
 
 def density_at(f: AnalyticFunction, x: float,
-               sched: LimitSchedule = DEFAULT_SCHEDULE) -> ExtrapolatedLimit:
+               sched: LimitSchedule = LimitSchedule()) -> ExtrapolatedLimit:
     """Pointwise boundary density (f(x+iy) - f(x-iy)) / (2 pi i (1+x^2)) as y -> 0.
 
     Valid where the boundary measure is absolutely continuous with continuous
@@ -90,7 +89,7 @@ def density_at(f: AnalyticFunction, x: float,
 
 
 def density_grid(f: AnalyticFunction, xs,
-                 sched: LimitSchedule = DEFAULT_SCHEDULE):
+                 sched: LimitSchedule = LimitSchedule()):
     """Vectorized density_at over a grid: returns (values, error_estimates)."""
     ys = sched.heights
     samples = _density_samples(f, np.asarray(xs, dtype=float), ys)
@@ -98,7 +97,7 @@ def density_grid(f: AnalyticFunction, xs,
 
 
 def atomic_mass_at(f: AnalyticFunction, x: float,
-                   sched: LimitSchedule = DEFAULT_SCHEDULE) -> complex:
+                   sched: LimitSchedule = LimitSchedule()) -> complex:
     """Atomic mass at a real boundary point: lim y f(x+iy) / (i (1+x^2)).
 
     atomic_mass_batch at the single point x, raising where the tableau
@@ -106,14 +105,14 @@ def atomic_mass_at(f: AnalyticFunction, x: float,
     """
     masses, errs = atomic_mass_batch(f, [x], sched)
     value, err = complex(masses[0]), float(errs[0])
-    if err > DIVERGENCE_FACTOR * (1.0 + abs(value)):
+    if diverged(value, err):
         raise NonSimpleBehaviorError(
             f"atomic mass limit at x={x} diverged (error estimate {err:.2e})")
     return value
 
 
 def atomic_mass_batch(f: AnalyticFunction, xs,
-                      sched: LimitSchedule = DEFAULT_SCHEDULE):
+                      sched: LimitSchedule = LimitSchedule()):
     """Vectorized atomic masses over locations: returns (masses, error_estimates).
 
     Polynomial extrapolation is backed by Aitken acceleration for the
@@ -126,14 +125,13 @@ def atomic_mass_batch(f: AnalyticFunction, xs,
     return best_limit(ys, samples, order=sched.order)
 
 
-def atomic_mass_at_infinity(f: AnalyticFunction, *, y0: float = 4.0,
-                            steps: int = 14, order: int = 8) -> complex:
+def atomic_mass_at_infinity(f: AnalyticFunction) -> complex:
     """Atomic mass at infinity: lim_{y -> inf} f(iy) / (i y) over doubling heights."""
-    ys = y0 * 2.0 ** np.arange(steps)
+    us = _INFINITY_SCHEDULE.heights
+    ys = 1.0 / us
     vals = f(1j * ys) / ys
-    us = 1.0 / ys
-    value, err = best_limit(us, vals, order=order)
-    if err > DIVERGENCE_FACTOR * (1.0 + abs(value)):
+    value, err = best_limit(us, vals, order=_INFINITY_SCHEDULE.order)
+    if diverged(value, err):
         raise NonSimpleBehaviorError(
             f"atomic mass limit at infinity diverged (error estimate {err:.2e})")
     return complex(value) / 1j

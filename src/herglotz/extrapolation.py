@@ -8,7 +8,7 @@ analyticity even when nearby boundary singularities limit its radius.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,19 @@ class LimitSchedule:
     def heights(self) -> np.ndarray:
         return self.y0 * self.ratio ** np.arange(self.steps)
 
+    def limit(self, sample: Callable[[float], complex]) -> ExtrapolatedLimit:
+        """Extrapolate sample(y) from the schedule's heights to y = 0."""
+        ys = self.heights
+        return limit_from_samples(ys, [sample(y) for y in ys], order=self.order)
+
+
+def diverged(value, err, tol: float = DIVERGENCE_FACTOR):
+    """Where an estimate fails err <= tol * (1 + |value|); a NaN estimate fails.
+
+    Vectorized over value and err; a scalar pair gives a numpy bool.
+    """
+    return ~(np.asarray(err) <= tol * (1.0 + np.abs(value)))
+
 
 @dataclass(frozen=True)
 class ExtrapolatedLimit:
@@ -52,7 +65,7 @@ class ExtrapolatedLimit:
 
     @property
     def converged(self) -> bool:
-        return self.error_estimate <= DIVERGENCE_FACTOR * (1.0 + abs(self.value))
+        return not diverged(self.value, self.error_estimate)
 
     def require_converged(self, what: str = "limit") -> complex:
         if not self.converged:

@@ -61,6 +61,17 @@ class Atom:
         object.__setattr__(self, "mass", complex(self.mass))
 
 
+def _on_support(fn: Callable, support: tuple, x) -> np.ndarray:
+    """fn(x) on the closed support interval, zero outside it."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = support
+    inside = (x >= lo) & (x <= hi)
+    out = np.zeros(x.shape, dtype=complex)
+    if np.any(inside):
+        out[inside] = np.asarray(fn(x[inside]), dtype=complex)
+    return out
+
+
 @dataclass(frozen=True)
 class DensityPart:
     """Absolutely continuous piece: density evaluator on a support interval."""
@@ -76,35 +87,22 @@ class DensityPart:
         object.__setattr__(self, "support", (float(lo), float(hi)))
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.support
-        inside = (x >= lo) & (x <= hi)
-        out = np.zeros(x.shape, dtype=complex)
-        if np.any(inside):
-            out[inside] = np.asarray(self.fn(x[inside]), dtype=complex)
-        return out
+        return _on_support(self.fn, self.support, x)
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Continuous test function with declared support and smoothness class."""
+    """Continuous test function with declared support and optional derivatives."""
 
     __test__ = False  # not a pytest collection target
 
     fn: Callable = field(repr=False)
     support: tuple = (-INF, INF)
-    smoothness: str = "C0"
     derivs: tuple = field(default_factory=tuple, repr=False)
     value_at_inf: Optional[complex] = None
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.support
-        inside = (x >= lo) & (x <= hi)
-        out = np.zeros(x.shape, dtype=complex)
-        if np.any(inside):
-            out[inside] = np.asarray(self.fn(x[inside]), dtype=complex)
-        return out
+        return _on_support(self.fn, self.support, x)
 
     def derivative(self, k: int) -> Callable:
         if k == 0:
@@ -112,17 +110,7 @@ class TestFunction:
         if len(self.derivs) < k:
             raise SpecError(f"test function provides {len(self.derivs)} derivatives, need {k}")
         fn_k = self.derivs[k - 1]
-        lo, hi = self.support
-
-        def d(x):
-            x = np.asarray(x, dtype=float)
-            inside = (x >= lo) & (x <= hi)
-            out = np.zeros(x.shape, dtype=complex)
-            if np.any(inside):
-                out[inside] = np.asarray(fn_k(x[inside]), dtype=complex)
-            return out
-
-        return d
+        return lambda x: _on_support(fn_k, self.support, x)
 
 
 @dataclass(frozen=True)
@@ -166,14 +154,6 @@ class BoundaryMeasure:
                             f"atom at {a.loc} sits inside a density support with nonzero "
                             "density; pass mixed_ok=True to permit")
                     j -= 1
-
-    def total_mass(self) -> complex:
-        """lambda of the whole boundary: atom masses plus density integrals."""
-        total = sum((a.mass for a in self.atoms), 0j)
-        for d in self.densities:
-            val, _ = quad_real_line(d, *d.support, atol=1e-11)
-            total += val
-        return total
 
 
 def integrate(m: BoundaryMeasure, f: TestFunction, *, atol: float = 1e-10) -> complex:
@@ -346,7 +326,7 @@ def _pchip_coefficients(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
     ends (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980); two nodes give
     the line.  The operations and their order are those of the reference
     PCHIP the tests compare against bit for bit.  Returns (n - 1, 4, k), the
-    cubic coefficient first.
+    cubic coefficient first; coefficients that overflow raise SpecError.
     """
     h = np.diff(ts)[:, None]
     m = np.diff(ys, axis=0) / h
@@ -360,10 +340,12 @@ def _pchip_coefficients(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
             inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
         d = np.concatenate((_pchip_end_slope(h[0], h[1], m[0], m[1])[None], inner,
                             _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])[None]))
-    if not np.all(np.isfinite(d)):
-        raise SpecError("table slopes overflow; nodes too close for their values")
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1]), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        coef = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1]), axis=1)
+    if not np.all(np.isfinite(coef)):
+        raise SpecError("table interpolant overflows; nodes too close for their values")
+    return coef
 
 
 def table_density(xs: Sequence[float], vals: Sequence[complex]) -> DensityPart:
@@ -471,8 +453,7 @@ def _json_loc(v) -> float:
 
 def _tabulate(d: DensityPart, n: int = 257) -> DensityPart:
     lo, hi = d.support
-    ta, tb = 2.0 * math.atan(lo) if math.isfinite(lo) else -math.pi, \
-        2.0 * math.atan(hi) if math.isfinite(hi) else math.pi
+    ta, tb = 2.0 * math.atan(lo), 2.0 * math.atan(hi)
     # Open Chebyshev nodes in the compactified coordinate avoid the endpoints.
     k = np.arange(n)
     t = 0.5 * (ta + tb) + 0.5 * (tb - ta) * np.cos((2 * k + 1) * np.pi / (2 * n))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .catalog import AnalyticFunction, cauchy_eval
 from .errors import NonSimpleBehaviorError, SpecError
-from .extrapolation import DIVERGENCE_FACTOR, LimitSchedule
+from .extrapolation import LimitSchedule, diverged
 from .extraction import (atomic_mass_at_infinity, atomic_mass_batch,
                          density_grid, sup_abs_growth)
 from .measures import Atom, BoundaryMeasure, table_density, INF
@@ -121,9 +121,7 @@ def _piece_blocks(lo: float, hi: float):
 
 
 def _lobatto_arctan(lo: float, hi: float, n: int) -> np.ndarray:
-    ta = 2.0 * math.atan(lo) if math.isfinite(lo) else -math.pi
-    tb = 2.0 * math.atan(hi) if math.isfinite(hi) else math.pi
-    xs = np.tan(0.5 * _lobatto(ta, tb, n))
+    xs = np.tan(0.5 * _lobatto(2.0 * math.atan(lo), 2.0 * math.atan(hi), n))
     if math.isfinite(lo):
         xs[0] = lo
     if math.isfinite(hi):
@@ -176,8 +174,8 @@ def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> Reconstruction
     atom_errs = {}
     if sigmas:
         masses, errs = atomic_mass_batch(f, np.asarray(sigmas), spec.schedule)
-        for s, m, e in zip(sigmas, np.atleast_1d(masses), np.atleast_1d(errs)):
-            if e > DIVERGENCE_FACTOR * (1.0 + abs(m)):
+        for s, m, e, bad in zip(sigmas, masses, errs, diverged(masses, errs)):
+            if bad:
                 raise NonSimpleBehaviorError(
                     f"atomic mass limit at {s} diverged (error estimate {e:.2e})")
             atoms.append(Atom(s, complex(m)))

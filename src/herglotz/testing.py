@@ -54,13 +54,13 @@ def smooth_bump(lo: float, hi: float, amplitude: complex = 1.0) -> TestFunction:
                                    - 2.0 / w ** 2 - 8.0 * ui * ui / w ** 3)
         return amplitude * c * c * out
 
-    return TestFunction(fn, (lo, hi), "Cinf", (d1, d2))
+    return TestFunction(fn, (lo, hi), (d1, d2))
 
 
 def constant_one() -> TestFunction:
     """The constant test function 1 on the extended real line."""
     return TestFunction(lambda x: np.ones(np.asarray(x, dtype=float).shape, dtype=complex),
-                        (-np.inf, np.inf), "Cinf",
+                        (-np.inf, np.inf),
                         (lambda x: np.zeros(np.asarray(x).shape, dtype=complex),
                          lambda x: np.zeros(np.asarray(x).shape, dtype=complex)),
                         value_at_inf=1.0 + 0j)

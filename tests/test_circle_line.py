@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from herglotz import (Atom, BoundaryMeasure, CatalogSpec, catalog_build,
+from herglotz import (Atom, BoundaryMeasure, CatalogSpec, LimitSchedule,
+                      RadiusSchedule, catalog_build,
                       circle_limit, circle_measure_functional,
                       consistency_gap, inversion_duality_gap,
                       joined_distribution_check, star_reflect, to_disc)
@@ -81,6 +82,14 @@ def test_circle_measure_functional_rejects_radius():
     phi = _herglotz_atom_at_angle_zero()
     with pytest.raises(SpecError):
         circle_measure_functional(phi, 1.5, smooth_bump(-1.0, 1.0))
+
+
+def test_radius_schedule():
+    with pytest.raises(SpecError):
+        RadiusSchedule(y0=1.0)
+    sched = RadiusSchedule(steps=8, order=6)
+    assert isinstance(sched, LimitSchedule)
+    assert np.array_equal(sched.heights, 0.5 * 0.5 ** np.arange(8))
 
 
 def test_consistency_constant():

@@ -257,6 +257,20 @@ def test_check_variation_bound_colliding_table_nodes_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_variation_bound_overflowing_table_exit_1(tmp_path, capsys):
+    # Finite nodes and values whose interpolant overflows: refused with exit 1.
+    measure = {"picture": "line", "atoms": [],
+               "densities": [{"kind": "table", "support": [0.0, 1.0],
+                              "xs": [0.0, 1e-300, 1.0],
+                              "vals": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}]}
+    (tmp_path / "m.json").write_text(json.dumps(measure))
+    spec = _write_spec(tmp_path / "c.json",
+                       {"kind": "cauchy", "measure": "m.json", "constant": [0.0, 0.0]})
+    code = main(["check", "variation-bound", "--spec", spec, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_check_inversion_duality(tmp_path):
     spec = _write_spec(tmp_path / "inv.json",
                        {"kind": "rational", "a": [0, 0], "b": [0, 0],

@@ -9,6 +9,7 @@ from herglotz import (Atom, BoundaryMeasure, CatalogSpec, LimitSchedule,
                       vladimirov_norm)
 from herglotz.extraction import atomic_mass_batch, sup_abs_growth
 from herglotz.errors import NonSimpleBehaviorError
+from herglotz.catalog import AnalyticFunction
 from herglotz.measures import TestFunction
 from herglotz.testing import constant_one, smooth_bump
 
@@ -114,6 +115,15 @@ def test_atomic_mass_at_infinity(tan_fn, sqrt_fn, identity_fn):
     affine = catalog_build(CatalogSpec("rational",
                                        {"a": 2, "b": 3, "poles": [5.0], "coeffs": [4 + 1j]}))
     assert abs(atomic_mass_at_infinity(affine) - 2.0) < 1e-10
+
+
+def test_nan_atomic_mass_limits_diverge():
+    nan_fn = AnalyticFunction(lambda z: np.full(np.shape(z), complex(np.nan, np.nan)),
+                              "half-plane")
+    with pytest.raises(NonSimpleBehaviorError):
+        atomic_mass_at(nan_fn, 0.5)
+    with pytest.raises(NonSimpleBehaviorError):
+        atomic_mass_at_infinity(nan_fn)
 
 
 def test_vladimirov_constant(const_i):

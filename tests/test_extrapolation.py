@@ -3,8 +3,8 @@ import pytest
 
 from herglotz import LimitSchedule
 from herglotz.errors import SpecError
-from herglotz.extrapolation import (aitken_limit, best_limit, limit_from_samples,
-                                    neville_zero_limit)
+from herglotz.extrapolation import (aitken_limit, best_limit, diverged,
+                                    limit_from_samples, neville_zero_limit)
 
 
 def test_schedule_validation():
@@ -37,6 +37,24 @@ def test_divergent_sequence_flags():
     ys = LimitSchedule().heights
     limit = limit_from_samples(ys, 1.0 / ys + 0j)
     assert not limit.converged
+
+
+def test_diverged_counts_nan_as_divergent():
+    assert not diverged(1.0 + 1j, 1e-5)
+    assert diverged(1.0, 1.0)
+    assert diverged(np.nan, 0.0) and diverged(1.0, np.nan)
+    assert diverged(complex(np.nan, np.nan), np.nan)
+    got = diverged(np.array([1.0, np.nan, 2.0, 0.0]), np.array([0.0, 0.0, np.nan, 1.0]),
+                   tol=0.5)
+    assert got.tolist() == [False, True, True, True]
+    assert not LimitSchedule().limit(lambda y: np.nan * 1j).converged
+
+
+def test_schedule_limit_matches_samples():
+    sched = LimitSchedule(steps=6, order=3)
+    got = sched.limit(lambda y: 2.0 + y * (1.0 - 1j))
+    want = limit_from_samples(sched.heights, 2.0 + sched.heights * (1.0 - 1j), order=3)
+    assert got == want
 
 
 def test_vectorized_tableau():

@@ -220,12 +220,21 @@ def test_table_interpolant_matches_scipy_pchip_bitwise(table, extra):
     try:
         want = _scipy_table(xs, vals, x)
     except ValueError:
-        # Nodes colliding in the arctan coordinate, or slopes that overflow.
+        want = None  # nodes colliding in the arctan coordinate, or slopes that overflow
+    if want is None or not np.all(np.isfinite(want)):
+        # A finite table whose interpolant is not finite is refused.
         with pytest.raises(SpecError):
             table_density(xs, vals)
         return
     got = table_density(xs, vals).fn(x)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_table_density_rejects_overflowing_interpolant():
+    # Finite slopes, but the Hermite coefficients of the first interval
+    # overflow: the interpolant would be NaN at the node 0 and the midpoints.
+    with pytest.raises(SpecError, match="overflows"):
+        table_density([0.0, 1e-300, 1.0], [0.0, 1.0, 0.0])
 
 
 def test_measure_json_roundtrip():

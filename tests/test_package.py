@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -6,6 +8,12 @@ import sys
 from pathlib import Path
 
 import herglotz
+from herglotz import quadrature
+from herglotz.catalog import AnalyticFunction
+from herglotz.cli import main
+from herglotz.measures import BoundaryMeasure, DensityPart
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_every_public_name_resolves():
@@ -25,3 +33,27 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_perfbench_herglotz_imports_resolve():
+    # The benchmark imports the package by name; a rename must not break it.
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.split(".")[0] == "herglotz":
+                mod = importlib.import_module(node.module)
+                missing = [a.name for a in node.names if not hasattr(mod, a.name)]
+                assert not missing, f"{path.name}: {node.module} lacks {missing}"
+
+
+def test_traced_attributes_exist():
+    # perfbench/tracing.py hooks these methods and reads these parameters.
+    for cls, attr in ((AnalyticFunction, "__call__"), (DensityPart, "__call__"),
+                      (BoundaryMeasure, "__post_init__")):
+        assert attr in vars(cls), f"{cls.__name__}.{attr}"
+    for name in quadrature.__all__:
+        params = inspect.signature(getattr(quadrature, name)).parameters
+        wanted = ("tol",) if name == "trapezoid_periodic" else ("atol", "rtol")
+        assert all(p in params for p in wanted), f"{name} lacks {wanted}"
+    assert "f" in inspect.signature(quadrature.adaptive_quad).parameters
+    assert "argv" in inspect.signature(main).parameters
