@@ -19,7 +19,7 @@ from .extrapolation import LimitSchedule, ExtrapolatedLimit
 from .extraction import (extract_functional, density_at, density_grid,
                          atomic_mass_at, atomic_mass_at_infinity,
                          vladimirov_norm, simple_scan, PolarGrid)
-from .boundary_limits import (C02Function, normalized_antiderivative,
+from .boundary_limits import (normalized_antiderivative,
                               c02_from_callables, boundary_functional,
                               phi_profile, PhiProfile, pair_with_phi,
                               boundary_limit_order_m)

@@ -18,7 +18,7 @@ the height, so every formula evaluates f at x + sgn*i*y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,7 +31,6 @@ from .measures import TestFunction
 from .quadrature import _lobatto, adaptive_quad, quad_power_weighted_zero
 
 __all__ = [
-    "C02Function",
     "normalized_antiderivative",
     "c02_from_callables",
     "PhiProfile",
@@ -45,27 +44,14 @@ MAX_ORDER = 4
 _GROWTH_MARGIN = 0.35
 
 
-@dataclass(frozen=True)
-class C02Function:
-    """Normalized twice-antiderivative pair on [a, b]: h, h', and h'' = H."""
-
-    a: float
-    b: float
-    h: Callable = field(repr=False)
-    h1: Callable = field(repr=False)
-    h2: Callable = field(repr=False)
-
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise SpecError("require a < b")
-
-
-def c02_from_callables(h, h1, h2, a: float, b: float) -> C02Function:
-    """Wrap analytically known h, h', h'' (h must vanish at a and b)."""
+def c02_from_callables(h, h1, h2, a: float, b: float) -> TestFunction:
+    """Wrap analytically known h, h', h'' on [a, b] (h must vanish at a and b)."""
+    if not a < b:
+        raise SpecError("require a < b")
     for x in (a, b):
         if abs(complex(np.asarray(h(np.array([x])), dtype=complex)[0])) > 1e-12:
             raise SpecError("h must vanish at both endpoints")
-    return C02Function(a, b, h, h1, h2)
+    return TestFunction(h, (a, b), derivs=(h1, h2))
 
 
 def _cheb_interpolate(fn: Callable, a: float, b: float, tol: float = 1e-13,
@@ -85,8 +71,10 @@ def _cheb_interpolate(fn: Callable, a: float, b: float, tol: float = 1e-13,
 
 
 def normalized_antiderivative(H: Callable, a: float, b: float, *,
-                              tol: float = 1e-13) -> C02Function:
-    """Build the normalized h with h'' = H and h(a) = h(b) = 0."""
+                              tol: float = 1e-13) -> TestFunction:
+    """Build the normalized h with h'' = H and h(a) = h(b) = 0, supported on [a, b]."""
+    if not a < b:
+        raise SpecError("require a < b")
     series = _cheb_interpolate(H, a, b, tol=tol)
     G = series.integ()
     G0 = G - G(a)
@@ -105,8 +93,7 @@ def normalized_antiderivative(H: Callable, a: float, b: float, *,
     def h1(x):
         return h1_series(np.asarray(x, dtype=float)) - hb / (b - a)
 
-    return C02Function(a, b, h, h1,
-                       lambda x: np.asarray(H(np.asarray(x, dtype=float)), dtype=complex))
+    return TestFunction(h, (a, b), derivs=(h1, H))
 
 
 def _require_simple(f: AnalyticFunction, a: float, b: float, side: str,
@@ -129,7 +116,7 @@ def _corners(f: AnalyticFunction, xs, delta: float, m: int, sgn: float,
     return out
 
 
-def boundary_functional(f: AnalyticFunction, h02: C02Function, delta: float, *,
+def boundary_functional(f: AnalyticFunction, h02: TestFunction, delta: float, *,
                         side: str = "upper", atol: float = 1e-11) -> complex:
     """Boundary limit of int h(x) f(x + iy) dx as y -> +0 (or y -> -0 for the lower side).
 
@@ -137,29 +124,28 @@ def boundary_functional(f: AnalyticFunction, h02: C02Function, delta: float, *,
     E(x) = int_0^delta y f(x + sgn*i*y) dy, that integration by parts leaves
     when h' does not vanish at a and b.
     """
-    a, b = h02.a, h02.b
-    test = TestFunction(h02.h, (a, b), derivs=(h02.h1, h02.h2))
-    val = boundary_limit_order_m(f, test, a, b, delta, 1, side=side, atol=atol)
+    a, b = h02.support
+    val = boundary_limit_order_m(f, h02, a, b, delta, 1, side=side, atol=atol)
     e_a, e_b = _corners(f, (a, b), delta, 1, _side_sign(side), atol)
-    h1a, h1b = np.asarray(h02.h1(np.array([a, b])), dtype=complex)
+    h1a, h1b = h02.derivative(1)(np.array([a, b]))
     return complex(val + h1b * e_b - h1a * e_a)
 
 
 def _barycentric(ts: np.ndarray, vs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Second-form barycentric interpolant on Lobatto nodes ts at the points t;
+    a point on a node takes that node's value."""
     n = len(ts)
     w = np.ones(n)
     w[1::2] = -1.0
     w[0] *= 0.5
     w[-1] *= 0.5
-    out = np.empty(t.shape, dtype=complex)
-    for i, ti in enumerate(t):
-        diff = ti - ts
-        hit = np.nonzero(diff == 0.0)[0]
-        if hit.size:
-            out[i] = vs[hit[0]]
-        else:
-            q = w / diff
-            out[i] = np.sum(q * vs) / np.sum(q)
+    diff = t[:, None] - ts
+    hit = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = w / diff
+        out = np.sum(q * vs, axis=1) / np.sum(q, axis=1)
+    on_node = hit.any(axis=1)
+    out[on_node] = vs[hit[on_node].argmax(axis=1)]
     return out
 
 
@@ -268,17 +254,19 @@ def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
     return PhiProfile(float(a), float(b), float(delta), segments)
 
 
-def pair_with_phi(profile: PhiProfile, h02: C02Function, *,
+def pair_with_phi(profile: PhiProfile, h02: TestFunction, *,
                   atol: float = 1e-10) -> complex:
     """Quadrature of h'' against the profile interpolant, segment by segment."""
-    if abs(profile.a - h02.a) > 1e-12 or abs(profile.b - h02.b) > 1e-12:
+    a, b = h02.support
+    if abs(profile.a - a) > 1e-12 or abs(profile.b - b) > 1e-12:
         raise SpecError("profile and test intervals do not match")
+    h2 = h02.derivative(2)
     total = 0j
     for lo, hi, ts, vs in profile.segments:
         ts_arr, vs_arr = np.asarray(ts), np.asarray(vs)
         val, _ = adaptive_quad(
-            lambda t: h02.h2(t) * _barycentric(ts_arr, vs_arr,
-                                               np.atleast_1d(np.asarray(t, dtype=float))),
+            lambda t: h2(t) * _barycentric(ts_arr, vs_arr,
+                                           np.atleast_1d(np.asarray(t, dtype=float))),
             lo, hi, atol=atol)
         total += val
     return complex(total)

@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import DomainError, SpecError
 from .measures import (BoundaryMeasure, measure_from_json, measure_to_json,
-                       INF)
+                       INF, _image_pieces, _image_point)
 from .quadrature import adaptive_quad, quad_real_line
+from .sphere import MobiusMatrix
 
 __all__ = [
     "AnalyticFunction",
@@ -520,64 +521,45 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
 # Function-level operations
 
 
+# z -> -1/z; its inverse, which moves boundary data, sends infinity to +0.0.
+_INVERSION = MobiusMatrix(0.0, 1.0, -1.0, 0.0)
+
+
 def invert_variable(f: AnalyticFunction) -> AnalyticFunction:
     """The inversion z -> f(-1/z); preserves the upper and lower half planes."""
-    if f.picture != "half-plane":
-        raise SpecError("inversion acts on half-plane functions")
-
-    def fn(z):
-        z = np.asarray(z, dtype=complex)
-        return f.fn(-1.0 / z)
-
-    support = []
-    for entry in f.boundary_support:
-        if entry[0] == "point":
-            loc = entry[1]
-            if loc == 0.0:
-                support.append(("point", INF))
-            elif math.isinf(loc):
-                support.append(("point", 0.0))
-            else:
-                support.append(("point", -1.0 / loc))
-        else:
-            _, lo, hi = entry
-            if lo < 0.0 <= hi or lo <= 0.0 < hi:
-                if lo < 0.0:
-                    support.append(("interval", -1.0 / lo if math.isfinite(lo) else 0.0, INF))
-                if hi > 0.0:
-                    support.append(("interval", -INF, -1.0 / hi if math.isfinite(hi) else 0.0))
-            else:
-                a = 0.0 if math.isinf(lo) else -1.0 / lo
-                b = 0.0 if math.isinf(hi) else -1.0 / hi
-                support.append(("interval", min(a, b), max(a, b)))
-    locator = None
-    if f.pole_locator is not None:
-        base = f.pole_locator
-
-        def locator(lo, hi):
-            pts = []
-            for x in np.atleast_1d(base(-INF, INF)):
-                if x != 0 and lo < -1.0 / x < hi:
-                    pts.append(-1.0 / x)
-            return np.array(sorted(pts))
-
-    return AnalyticFunction(fn, "half-plane", tuple(support),
-                            f.has_representing_measure,
-                            {"kind": "inversion", "base": f.descriptor}, locator)
+    return compose_mobius(f, _INVERSION)
 
 
-def compose_mobius(f: AnalyticFunction, m) -> AnalyticFunction:
-    """z -> f(A.z) for a real invertible matrix A; stays off the real line."""
+def compose_mobius(f: AnalyticFunction, m: MobiusMatrix) -> AnalyticFunction:
+    """z -> f(A.z) for a real invertible matrix A; stays off the real line.
+
+    Boundary support and pole candidates of f move to their preimages under A.
+    """
     if f.picture != "half-plane":
         raise SpecError("mobius composition acts on half-plane functions")
+    minv = m.inverse()
 
     def fn(z):
         z = np.asarray(z, dtype=complex)
         return f.fn((m.a * z + m.b) / (m.c * z + m.d))
 
-    return AnalyticFunction(fn, "half-plane", (), f.has_representing_measure,
+    support = []
+    for entry in f.boundary_support:
+        if entry[0] == "point":
+            support.append(("point", _image_point(minv, entry[1])))
+        else:
+            support += [("interval", lo, hi) for lo, hi in _image_pieces(minv, *entry[1:])]
+    locator = None
+    if f.pole_locator is not None:
+        def locator(lo, hi):
+            # Only the poles of f in the image of the window can pull back into it.
+            pts = (_image_point(minv, p) for u, v in _image_pieces(m, lo, hi)
+                   for p in np.atleast_1d(f.pole_locator(u, v)))
+            return np.array(sorted(p for p in pts if lo < p < hi))
+
+    return AnalyticFunction(fn, "half-plane", tuple(support), f.has_representing_measure,
                             {"kind": "mobius-composition", "base": f.descriptor,
-                             "matrix": [m.a, m.b, m.c, m.d]})
+                             "matrix": [m.a, m.b, m.c, m.d]}, locator)
 
 
 def star_reflect(f: AnalyticFunction) -> AnalyticFunction:

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import AnalyticFunction, invert_variable
+from .catalog import _INVERSION, AnalyticFunction, invert_variable
 from .errors import SpecError
 from .extrapolation import ExtrapolatedLimit, LimitSchedule
-from .measures import TestFunction
+from .measures import TestFunction, _image_pieces
 from .quadrature import adaptive_quad, quad_real_line, trapezoid_periodic
+from .sphere import cayley_to_halfplane_values
 
 __all__ = [
     "RadiusSchedule",
@@ -63,8 +64,7 @@ def to_disc(f: AnalyticFunction) -> AnalyticFunction:
         raise SpecError("to_disc expects a half-plane function")
 
     def fn(z):
-        z = np.asarray(z, dtype=complex)
-        return -1j * f.fn(1j * (1.0 - z) / (1.0 + z))
+        return -1j * f.fn(cayley_to_halfplane_values(z))
 
     return AnalyticFunction(fn, "disc", (), f.has_representing_measure,
                             {"kind": "disc-companion", "base": f.descriptor})
@@ -118,6 +118,8 @@ class GapReport:
             "gap": self.gap,
             "r_sequence": list(self.r_sequence),
             "y_sequence": list(self.y_sequence),
+            "circle_error": self.circle_error,
+            "line_error": self.line_error,
         }
 
 
@@ -142,8 +144,7 @@ def _inner_circle_side(f: AnalyticFunction, test: TestFunction,
         def integrand(t):
             t = np.asarray(t, dtype=float)
             s = np.tan(0.5 * t)
-            w = 1j * (1.0 - r * np.exp(1j * t)) / (1.0 + r * np.exp(1j * t))
-            return test(s) * (-1j) * f(w)
+            return test(s) * (-1j) * f(cayley_to_halfplane_values(r * np.exp(1j * t)))
         return adaptive_quad(integrand, ta, tb, atol=atol)[0]
 
     return rsched.limit(sample)
@@ -194,11 +195,8 @@ def _transport_inversion(test: TestFunction) -> TestFunction:
         out[nz] = test(-1.0 / u[nz])
         return out
 
-    if lo > 0 or hi < 0:
-        new_support = tuple(sorted((-1.0 / lo if math.isfinite(lo) else 0.0,
-                                    -1.0 / hi if math.isfinite(hi) else 0.0)))
-    else:
-        new_support = (-1.0, 1.0)
+    new_support = (-1.0, 1.0) if lo <= 0.0 <= hi else \
+        _image_pieces(_INVERSION.inverse(), lo, hi)[0]
     return TestFunction(fn, new_support,
                         value_at_inf=(complex(test(np.array([0.0]))[0])
                                       if lo <= 0.0 <= hi else 0j))

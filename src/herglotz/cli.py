@@ -262,9 +262,7 @@ def _circle_line_gap(args):
 
 def _check_circle_line(args, report):
     gap = _circle_line_gap(args)
-    report["items"].append({"name": "circle-line", "gap": gap.gap,
-                            "circle": [gap.circle.real, gap.circle.imag],
-                            "line": [gap.line.real, gap.line.imag],
+    report["items"].append({"name": "circle-line", **gap.to_json(),
                             "pass": bool(gap.gap <= args.tol)})
 
 
@@ -272,7 +270,7 @@ def _check_inversion_duality(args, report):
     f = _load_spec(args.spec)
     lo, hi = _parse_window(args.window)
     gap = inversion_duality_gap(f, smooth_bump(lo, hi), _schedule(args))
-    report["items"].append({"name": "inversion-duality", "gap": gap.gap,
+    report["items"].append({"name": "inversion-duality", **gap.to_json(),
                             "pass": bool(gap.gap <= args.tol)})
 
 

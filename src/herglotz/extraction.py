@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import AnalyticFunction, invert_variable
+from .catalog import _INVERSION, AnalyticFunction, invert_variable
 from .errors import NonSimpleBehaviorError, SpecError
 from .extrapolation import ExtrapolatedLimit, LimitSchedule, best_limit, diverged
-from .measures import TestFunction
+from .measures import TestFunction, _image_pieces
 from .quadrature import quad_real_line
 
 __all__ = [
@@ -194,17 +194,13 @@ def simple_scan(f: AnalyticFunction, window, y_floor: float = 1e-5, *,
     fhi = min(hi, cut)
     if flo < fhi:
         parts.append((flo, fhi, f))
-    tilde = None
-    if math.isinf(lo) or math.isinf(hi) or lo < -cut or hi > cut:
+    rays = [(u, v) for u, v in ((cut, hi), (lo, -cut)) if u < v]
+    if rays:
+        # The rays beyond +-cut are scanned at u = -1/x, where invert_variable
+        # puts their boundary points.
         tilde = invert_variable(f)
-        if hi > cut:
-            # x in (cut, hi] corresponds to u = -1/x in [-1/cut, -1/hi)
-            parts.append((-1.0 / cut,
-                          -1.0 / hi if math.isfinite(hi) else 0.0, tilde))
-        if lo < -cut:
-            # x in [lo, -cut) corresponds to u = -1/x in (-1/lo, 1/cut]
-            parts.append((-1.0 / lo if math.isfinite(lo) else 0.0,
-                          1.0 / cut, tilde))
+        parts += [(plo, phi, tilde) for u, v in rays
+                  for plo, phi in _image_pieces(_INVERSION.inverse(), u, v)]
     sup_per_y = np.zeros(ny)
     for plo, phi, fn in parts:
         if plo >= phi:

@@ -238,7 +238,7 @@ def _weight_at(m: MobiusMatrix, loc: float) -> float:
 
 def _image_interval(binv: MobiusMatrix, lo: float, hi: float,
                     lo_is_pole: bool = False, hi_is_pole: bool = False):
-    """Image of one pole-free support piece under the inverse action; monotone.
+    """Image of one pole-free support piece under the action of binv; monotone.
 
     Endpoints flagged as the pole of the action map to the point at infinity
     symbolically; rounding in the pole location would otherwise produce a huge
@@ -254,12 +254,27 @@ def _image_interval(binv: MobiusMatrix, lo: float, hi: float,
         probes = [-1.0, 1.0]
     img = mobius_apply_values(binv, np.asarray(probes, dtype=complex)).real
     increasing = img[1] > img[0]
-    e_lo = INFINITY if lo_is_pole else mobius_apply(binv, lo if math.isfinite(lo) else INFINITY)
-    e_hi = INFINITY if hi_is_pole else mobius_apply(binv, hi if math.isfinite(hi) else INFINITY)
+    e_lo = INF if lo_is_pole else _image_point(binv, lo)
+    e_hi = INF if hi_is_pole else _image_point(binv, hi)
     left, right = (e_lo, e_hi) if increasing else (e_hi, e_lo)
-    new_lo = -INF if left.infinite else left.value.real
-    new_hi = INF if right.infinite else right.value.real
-    return new_lo, new_hi
+    return (-INF if left == INF else left), right
+
+
+def _image_point(binv: MobiusMatrix, loc: float) -> float:
+    """Image of a boundary point under the action of binv; INF for infinity."""
+    target = mobius_apply(binv, INFINITY if math.isinf(loc) else loc)
+    return INF if target.infinite else target.value.real
+
+
+def _image_pieces(binv: MobiusMatrix, lo: float, hi: float) -> list:
+    """Image of the interval (lo, hi) under the action of binv, one piece per
+    side of the pole of the action when (lo, hi) holds it."""
+    pieces = [(lo, hi, False, False)]
+    if binv.c != 0.0:
+        pole = -binv.d / binv.c  # the point the action sends to infinity
+        if lo < pole < hi:
+            pieces = [(lo, pole, False, True), (pole, hi, True, False)]
+    return [_image_interval(binv, *piece) for piece in pieces]
 
 
 def pushforward_mobius(m: BoundaryMeasure, A: MobiusMatrix) -> BoundaryMeasure:
@@ -270,25 +285,10 @@ def pushforward_mobius(m: BoundaryMeasure, A: MobiusMatrix) -> BoundaryMeasure:
     det = A.det
     atoms = []
     for a in m.atoms:
-        target = mobius_apply(binv, INFINITY if math.isinf(a.loc) else a.loc)
-        loc = INF if target.infinite else target.value.real
+        loc = _image_point(binv, a.loc)
         atoms.append(Atom(loc, a.mass * _weight_at(A, loc) / det))
-
-    densities = []
-    for d in m.densities:
-        lo, hi = d.support
-        pieces = [(lo, hi, False, False)]
-        if A.c != 0.0:
-            pole = A.a / A.c  # preimage of infinity under the inverse action
-            if lo < pole < hi:
-                pieces = [(lo, pole, False, True), (pole, hi, True, False)]
-        for plo, phi, lp, hp in pieces:
-            new_lo, new_hi = _image_interval(binv, plo, phi, lp, hp)
-            densities.append(DensityPart(
-                (new_lo, new_hi),
-                _pushforward_density(A, d, det),
-                None,
-            ))
+    densities = [DensityPart(piece, _pushforward_density(A, d, det), None)
+                 for d in m.densities for piece in _image_pieces(binv, *d.support)]
     return BoundaryMeasure(tuple(atoms), tuple(densities), "line", m.mixed_ok)
 
 
@@ -299,8 +299,7 @@ def _pushforward_density(A: MobiusMatrix, d: DensityPart, det: float):
         t = np.asarray(t, dtype=float)
         den = (A.c * t + A.d) ** 2
         s = (A.a * t + A.b) / (A.c * t + A.d)
-        w = ((A.a * t + A.b) ** 2 + (A.c * t + A.d) ** 2) / (1.0 + t * t)
-        return sign * w / den * d(s)
+        return sign * _mobius_weight(A, t) / den * d(s)
 
     return rho
 

@@ -278,9 +278,9 @@ def test_criterion_15_c02_norm_estimates():
         H = lambda x, c=coeffs: np.polyval(c, np.asarray(x, dtype=float))
         c02 = normalized_antiderivative(H, a, b)
         xs = a + (b - a) * grid
-        nh = float(np.max(np.abs(c02.h(xs))))
-        nh1 = float(np.max(np.abs(c02.h1(xs))))
-        nh2 = float(np.max(np.abs(c02.h2(xs))))
+        nh = float(np.max(np.abs(c02(xs))))
+        nh1 = float(np.max(np.abs(c02.derivative(1)(xs))))
+        nh2 = float(np.max(np.abs(c02.derivative(2)(xs))))
         r1 = nh / max((b - a) * nh1, 1e-300)
         r2 = nh1 / max(1.5 * (b - a) * nh2, 1e-300)
         worst = max(worst, r1, r2)

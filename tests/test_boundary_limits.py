@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from herglotz import (C02Function, CatalogSpec, boundary_functional,
+from herglotz import (CatalogSpec, MobiusMatrix, TestFunction, boundary_functional,
                       boundary_limit_order_m, c02_from_callables, catalog_build,
-                      normalized_antiderivative, pair_with_phi, phi_profile,
-                      star_reflect)
+                      invert_variable, normalized_antiderivative, pair_with_phi,
+                      phi_profile, star_reflect)
+from herglotz.boundary_limits import _barycentric
+from herglotz.catalog import compose_mobius
 from herglotz.errors import NonSimpleBehaviorError, SpecError
+from herglotz.quadrature import _lobatto
 from herglotz.extraction import sup_abs_growth
 from herglotz.testing import smooth_bump
 
@@ -26,17 +31,17 @@ def test_normalized_antiderivative_constant():
     c = normalized_antiderivative(
         lambda x: 2.0 * np.ones(np.shape(x), dtype=float), 0.0, 1.0)
     xs = np.linspace(0.0, 1.0, 21)
-    assert np.max(np.abs(c.h(xs) - (xs ** 2 - xs))) < 1e-13
-    assert np.max(np.abs(c.h1(xs) - (2 * xs - 1))) < 1e-13
-    assert abs(c.h(np.array([0.0]))[0]) < 1e-15
-    assert abs(c.h(np.array([1.0]))[0]) < 1e-15
+    assert np.max(np.abs(c(xs) - (xs ** 2 - xs))) < 1e-13
+    assert np.max(np.abs(c.derivative(1)(xs) - (2 * xs - 1))) < 1e-13
+    assert abs(c(np.array([0.0]))[0]) < 1e-15
+    assert abs(c(np.array([1.0]))[0]) < 1e-15
 
 
 def test_normalized_antiderivative_sine():
     c = normalized_antiderivative(
         lambda x: -np.pi ** 2 * np.sin(np.pi * np.asarray(x, dtype=float)), 0.0, 1.0)
     xs = np.linspace(0.0, 1.0, 21)
-    assert np.max(np.abs(c.h(xs) - np.sin(np.pi * xs))) < 1e-12
+    assert np.max(np.abs(c(xs) - np.sin(np.pi * xs))) < 1e-12
 
 
 def test_norm_chain_on_random_polynomials():
@@ -49,9 +54,9 @@ def test_norm_chain_on_random_polynomials():
         H = lambda x, c=coeffs: np.polyval(c, np.asarray(x, dtype=float))
         c02 = normalized_antiderivative(H, a, b)
         xs = a + (b - a) * xs_unit
-        nh = np.max(np.abs(c02.h(xs)))
-        nh1 = np.max(np.abs(c02.h1(xs)))
-        nh2 = np.max(np.abs(c02.h2(xs)))
+        nh = np.max(np.abs(c02(xs)))
+        nh1 = np.max(np.abs(c02.derivative(1)(xs)))
+        nh2 = np.max(np.abs(c02.derivative(2)(xs)))
         assert nh <= (b - a) * nh1 * (1 + 1e-12)
         assert nh1 <= 1.5 * (b - a) * nh2 * (1 + 1e-12)
 
@@ -60,7 +65,7 @@ def test_boundary_functional_continuous_case(minus_inverse):
     h = normalized_antiderivative(
         lambda x: np.cos(np.asarray(x, dtype=float)), 1.0, 2.0)
     got = boundary_functional(minus_inverse, h, 0.4)
-    re, _ = quad(lambda x: (h.h(np.array([x]))[0] * (-1.0 / x)).real, 1.0, 2.0)
+    re, _ = quad(lambda x: (h(np.array([x]))[0] * (-1.0 / x)).real, 1.0, 2.0)
     assert abs(got - re) < 1e-9
 
 
@@ -135,6 +140,57 @@ def test_pair_with_phi_linearity(minus_inverse):
     assert abs(lhs - rhs) < 1e-9
 
 
+def test_composed_profile_splits_at_moved_pole(minus_inverse):
+    # -1/(z - 0.3) as a composition must split its profile at 0.3, as the
+    # rational built with that pole does.
+    shifted = compose_mobius(minus_inverse, MobiusMatrix(1.0, -0.3, 0.0, 1.0))
+    direct = catalog_build(CatalogSpec("rational", {"a": 0, "b": 0, "poles": [0.3],
+                                                    "coeffs": [1.0]}))
+    h = normalized_antiderivative(lambda x: 1.0 + np.asarray(x, dtype=float) ** 2, -1.0, 1.0)
+    ref = pair_with_phi(phi_profile(direct, -1.0, 1.0, 0.5), h)
+    assert abs(pair_with_phi(phi_profile(shifted, -1.0, 1.0, 0.5), h) - ref) <= 1e-6
+
+
+def test_inverted_tan_profile_splits_at_its_pole(tan_fn):
+    prof = phi_profile(invert_variable(tan_fn), 0.2, 0.5, 0.1)
+    pole = 2.0 / (3.0 * math.pi)  # -1/p for the tan pole p = -3 pi/2
+    assert [seg[:2] for seg in prof.segments] == [
+        (0.2, pytest.approx(pole, rel=1e-15)), (pytest.approx(pole, rel=1e-15), 0.5)]
+
+
+def _barycentric_per_point(ts, vs, t):
+    n = len(ts)
+    w = np.ones(n)
+    w[1::2] = -1.0
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    out = np.empty(t.shape, dtype=complex)
+    for i, ti in enumerate(t):
+        diff = ti - ts
+        hit = np.nonzero(diff == 0.0)[0]
+        if hit.size:
+            out[i] = vs[hit[0]]
+        else:
+            q = w / diff
+            out[i] = np.sum(q * vs) / np.sum(q)
+    return out
+
+
+def test_barycentric_matches_per_point_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        n = int(rng.integers(5, 401))
+        lo = rng.uniform(-5.0, 5.0)
+        ts = _lobatto(lo, lo + rng.uniform(1e-3, 10.0), n)
+        vs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        t = np.concatenate([rng.uniform(ts[0], ts[-1], int(rng.integers(0, 40))),
+                            ts[rng.integers(0, n, 3)]])
+        rng.shuffle(t)
+        got = _barycentric(ts, vs, t)
+        assert np.array_equal(got.view(np.uint64),
+                              _barycentric_per_point(ts, vs, t).view(np.uint64))
+
+
 def test_pair_with_phi_interval_mismatch(minus_inverse):
     prof = phi_profile(minus_inverse, -1.0, 1.0, 0.5, nodes=15)
     h = normalized_antiderivative(lambda x: np.ones(np.shape(x)), -2.0, 1.0)
@@ -201,9 +257,10 @@ def test_lower_side_matches_star_reflected_upper(spec, a, b, delta):
     f = catalog_build(spec)
     h = normalized_antiderivative(
         lambda x: np.exp(1j * np.asarray(x, dtype=float)) + 0.5 * np.asarray(x), a, b)
-    assert np.min(np.abs(h.h1(np.array([a, b])))) > 0.1
-    h_conj = C02Function(a, b, lambda x: np.conj(h.h(x)), lambda x: np.conj(h.h1(x)),
-                         lambda x: np.conj(h.h2(x)))
+    assert np.min(np.abs(h.derivative(1)(np.array([a, b])))) > 0.1
+    h_conj = TestFunction(lambda x: np.conj(h(x)), (a, b),
+                          derivs=(lambda x: np.conj(h.derivative(1)(x)),
+                                  lambda x: np.conj(h.derivative(2)(x))))
     upper = boundary_functional(f, h, delta, side="upper")
     lower = boundary_functional(f, h, delta, side="lower")
     ref = np.conj(boundary_functional(star_reflect(f), h_conj, delta, side="upper"))

@@ -1,12 +1,16 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from herglotz import (Atom, BoundaryMeasure, CatalogSpec, catalog_build,
+from herglotz import (Atom, BoundaryMeasure, CatalogSpec, MobiusMatrix, catalog_build,
                       cauchy_eval, cauchy_kernel, conjugate, invert_variable,
-                      principal_log, principal_power, star_reflect)
+                      mobius_apply, principal_log, principal_power, pushforward_mobius,
+                      star_reflect, table_density)
 from herglotz import catalog, quadrature
+from herglotz.catalog import compose_mobius
 from herglotz.errors import DomainError, SpecError
 from herglotz.measures import DensityPart, density_from_descriptor
 
@@ -162,6 +166,92 @@ def test_invert_variable(minus_inverse, tan_fn):
     zs = rng.uniform(-2, 2, 40) + 1j * rng.uniform(0.1, 2, 40)
     twice = invert_variable(invert_variable(tan_fn))
     assert np.max(np.abs(twice(zs) - tan_fn(zs))) < 1e-13
+
+
+def test_inverted_locator_enumerates_the_window_only(tan_fn):
+    # The base is asked for its poles in the image (-10, -1/8) of the window,
+    # not on the whole line, where tan has infinitely many.
+    got = invert_variable(tan_fn).pole_locator(0.1, 8.0)
+    poles = [p for p in np.pi / 2.0 * np.arange(-21, 0, 2) if -10.0 < p < -0.125]
+    assert got.tolist() == sorted(-1.0 / p for p in poles)
+    sigma_log = invert_variable(catalog_build(CatalogSpec("tan_sigma_log", {"sigma": 1.0})))
+    assert sigma_log.pole_locator(-1.0, -0.1).tolist() == [-1.0 / math.exp(math.pi / 2.0)]
+
+
+@pytest.mark.parametrize("spec, support", [
+    (CatalogSpec("tan"), (("point", 0.0),)),
+    (CatalogSpec("power", {"p": 0.5}), (("interval", 0.0, math.inf),)),
+    (CatalogSpec("power_over_log", {"p": 0.5}),
+     (("interval", 0.0, math.inf), ("point", -1.0))),
+    (CatalogSpec("cot_sigma_log", {"sigma": 2.0}),
+     (("interval", 0.0, math.inf), ("point", math.inf), ("point", 0.0))),
+    (CatalogSpec("rational", {"a": 1.0, "b": 0.0, "poles": [0.0, -4.0, 2.0],
+                              "coeffs": [1.0, 1.0, 1.0]}),
+     (("point", math.inf), ("point", 0.25), ("point", -0.5), ("point", 0.0))),
+    (CatalogSpec("cauchy", {"measure": BoundaryMeasure(
+        (Atom(4.0, 1.0),), (table_density([-2.0, 0.0, 3.0], [1.0, 2.0, 1.0]),))}),
+     (("interval", 0.5, math.inf), ("interval", -math.inf, -1.0 / 3.0), ("point", -0.25))),
+])
+def test_invert_variable_support_table(spec, support):
+    got = invert_variable(catalog_build(spec)).boundary_support
+    assert got == support
+    # Zeros keep their sign: infinity maps to +0.0.
+    signs = [math.copysign(1.0, v) for entry in got for v in entry[1:]]
+    assert signs == [math.copysign(1.0, v) for entry in support for v in entry[1:]]
+
+
+# Entries and locations stay where the images of bounded points are finite
+# floats; a subnormal entry can send a finite point past the largest float.
+_ENTRY = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-3.0, 3.0).filter(
+    lambda v: abs(v) >= 1e-6)
+_LOC = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@st.composite
+def _matrices(draw):
+    a, b, c, d = (draw(_ENTRY) for _ in range(4))
+    assume(abs(a * d - b * c) > 0.1)
+    return MobiusMatrix(a, b, c, d)
+
+
+@st.composite
+def _measures(draw):
+    locs = draw(st.lists(_LOC | st.just(math.inf), max_size=3, unique=True))
+    # Atoms closer than rounding can tell apart merge under the pushforward.
+    assume(len(locs) < 2 or min(np.diff(sorted(locs))) > 1e-3)
+    densities = []
+    for _ in range(draw(st.integers(0, 2))):
+        xs = draw(st.lists(_LOC, min_size=2, max_size=5, unique=True))
+        assume(min(np.diff(sorted(xs))) > 1e-3)
+        densities.append(table_density(sorted(xs), np.ones(len(xs))))
+    return BoundaryMeasure(tuple(Atom(x, 1.0) for x in locs), tuple(densities),
+                           mixed_ok=True)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_matrices(), _measures())
+def test_composed_support_is_the_pushforward_support(A, m):
+    f = catalog_build(CatalogSpec("cauchy", {"measure": m}))
+    pushed = pushforward_mobius(m, A)
+    assert compose_mobius(f, A).boundary_support == \
+        tuple(("interval", *d.support) for d in pushed.densities) \
+        + tuple(("point", a.loc) for a in pushed.atoms)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_matrices(), st.lists(_LOC, min_size=1, max_size=5, unique=True), _LOC,
+       st.floats(0.01, 10.0))
+def test_composed_locator_pulls_back_the_poles(A, poles, lo, width):
+    hi = lo + width
+    assume(A.c == 0.0 or not lo <= -A.d / A.c <= hi)
+    f = catalog_build(CatalogSpec("rational", {"a": 0.0, "b": 0.0, "poles": poles,
+                                               "coeffs": [1.0] * len(poles)}))
+    pulled = [mobius_apply(A.inverse(), p) for p in poles]
+    pulled = [q.value.real for q in pulled if not q.infinite]
+    # Rounding decides points on the window's edges either way.
+    assume(all(min(abs(q - lo), abs(q - hi)) > 1e-9 * (1.0 + abs(q)) for q in pulled))
+    got = compose_mobius(f, A).pole_locator(lo, hi)
+    assert got.tolist() == sorted(q for q in pulled if lo < q < hi)
 
 
 def test_endofunction_property():

@@ -127,7 +127,9 @@ def test_consistency_sqrt(sqrt_fn):
 def test_consistency_report_json(tan_fn):
     rep = consistency_gap(tan_fn, smooth_bump(0.2, 1.3))
     data = rep.to_json()
-    assert set(data) == {"circle", "line", "gap", "r_sequence", "y_sequence"}
+    assert set(data) == {"circle", "line", "gap", "r_sequence", "y_sequence",
+                         "circle_error", "line_error"}
+    assert [data["circle_error"], data["line_error"]] == [rep.circle_error, rep.line_error]
     assert len(data["r_sequence"]) > 0 and len(data["y_sequence"]) > 0
 
 

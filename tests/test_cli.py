@@ -214,7 +214,8 @@ def test_circle_line_gap_artifact(tmp_path, power_half_spec):
     assert main(["circle-line", "--spec", power_half_spec, "--window=-4,-1",
                  "--out", str(out)]) == 0
     gap = json.loads((out / "gap.json").read_text())
-    assert set(gap) == {"circle", "line", "gap", "r_sequence", "y_sequence"}
+    assert set(gap) == {"circle", "line", "gap", "r_sequence", "y_sequence",
+                        "circle_error", "line_error"}
     assert gap["gap"] <= 1e-4
     # the check suite runs the same computation
     check = tmp_path / "check"
@@ -223,6 +224,8 @@ def test_circle_line_gap_artifact(tmp_path, power_half_spec):
     item = json.loads((check / "report.json").read_text())["items"][0]
     assert item["gap"] == gap["gap"]
     assert [item["circle"], item["line"]] == [gap["circle"], gap["line"]]
+    assert [item["circle_error"], item["line_error"]] == [gap["circle_error"],
+                                                          gap["line_error"]]
 
 
 def test_check_variation_bound_with_measure_file(tmp_path):
@@ -278,3 +281,6 @@ def test_check_inversion_duality(tmp_path):
     out = tmp_path / "out"
     assert main(["check", "inversion-duality", "--spec", spec,
                  "--window", "1,4", "--out", str(out), "--tol", "1e-8"]) == 0
+    item = json.loads((out / "report.json").read_text())["items"][0]
+    # the two limits' error estimates travel with the gap they were judged by
+    assert 0.0 <= item["circle_error"] < 1e-8 and 0.0 <= item["line_error"] < 1e-8

@@ -197,8 +197,10 @@ def test_mobius_covariance_small():
     base = reconstruct(f, ReconstructionSpec(window=(-40.0, -0.02),
                                              nodes_per_block=32))
     A = MobiusMatrix(1, 1, 0, 1)  # translation by 1
-    rec_a = reconstruct(compose_mobius(f, A),
-                        ReconstructionSpec(window=(-8.0, -2.0), nodes_per_block=32))
+    f_a = compose_mobius(f, A)
+    assert f_a.boundary_support == (("interval", -math.inf, -1.0),)
+    rec_a = reconstruct(f_a, ReconstructionSpec(window=(-8.0, -2.0), nodes_per_block=32))
+    assert rec_a.window_truncated
     pushed = pushforward_mobius(base.measure, A)
     rng = np.random.default_rng(3)
     for _ in range(5):
