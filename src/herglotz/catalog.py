@@ -369,6 +369,8 @@ def _disc_herglotz_eval(measure: BoundaryMeasure, constant, atol=1e-10):
 
 def _odd_multiples(step: float, lo: float, hi: float, parity: str):
     # Multiples n*step inside (lo, hi) with n odd / even / any.
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise SpecError(f"the poles accumulate at ±inf: ({lo}, {hi}) holds infinitely many")
     ns = np.arange(math.ceil(lo / step), math.floor(hi / step) + 1)
     if parity == "odd":
         ns = ns[ns % 2 != 0]
@@ -381,6 +383,8 @@ def _exp_lattice(sigma: float, lo: float, hi: float, parity: str):
     # Points exp(pi n / (2 sigma)) inside (lo, hi) for n of the given parity.
     if hi <= 0:
         return np.array([])
+    if math.isinf(hi):
+        raise SpecError(f"the poles accumulate at +inf: ({lo}, {hi}) holds infinitely many")
     lo = max(lo, 1e-300)
     step = math.pi / (2.0 * sigma)
     n_lo = math.ceil(math.log(lo) / step - 1e-12)

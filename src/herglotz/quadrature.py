@@ -7,13 +7,15 @@ inverse-square map s = A/v^2, under which algebraic tails become polynomial.
 All rules use open node sets, so integrands are never evaluated at interval
 endpoints; integrable endpoint singularities are handled by subdivision alone.
 
-Panels are refined worst-first from a heap with an insertion counter as tie
-break and accumulated in interval order, so results are deterministic across
-runs regardless of refinement history.
+``adaptive_quad`` refines in generations, after Shampine, "Vectorized adaptive
+quadrature in MATLAB", J. Comput. Appl. Math. 211 (2008): each bisects the
+shortest worst-first prefix of panels whose errors cover the excess over the
+tolerance, and the integrand gets at most eight panels (120 nodes) per call.
+Panels are summed in interval order, so results do not depend on refinement
+history.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Callable
 
@@ -57,13 +59,42 @@ def _lobatto(lo: float, hi: float, n: int) -> np.ndarray:
     return ts
 
 
-def _panel(f: Callable, a: float, b: float):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = np.asarray(f(mid + half * _XK), dtype=complex)
-    k15 = half * np.tensordot(_WK, vals, axes=1)
-    g7 = half * np.tensordot(_WG, vals[1::2], axes=1)
-    return k15, float(np.max(np.abs(k15 - g7)))
+# Panels per integrand call.  A nested evaluator builds (inner nodes x outer
+# nodes) arrays, so an unbounded generation would grow its memory with the
+# generation's size.
+_CALL_PANELS = 8
+
+
+def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod values and Gauss-Kronrod errors of the panels [lo[i], hi[i]].
+
+    The nodes of up to ``_CALL_PANELS`` panels go to f in one call.  Values
+    have shape (n_panels, ...) with the integrand's trailing axes; errors are
+    the largest component difference of each panel, shape (n_panels,).
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = mid[:, None] + half[:, None] * _XK
+    values, errors = [], []
+    for s in range(0, lo.size, _CALL_PANELS):
+        x = nodes[s:s + _CALL_PANELS]
+        vals = np.asarray(f(x.ravel()), dtype=complex)
+        cols = vals.reshape(x.shape + (-1,))  # (panels, 15, columns)
+        scale = half[s:s + _CALL_PANELS, None]
+        k15 = scale * (_WK @ cols)
+        g7 = scale * (_WG @ cols[:, 1::2])
+        values.append(k15.reshape(x.shape[:1] + vals.shape[1:]))
+        errors.append(np.max(np.abs(k15 - g7), axis=1))
+    return np.concatenate(values), np.concatenate(errors)
+
+
+def _bisect(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """Halves of the panels [lo[i], hi[i]], left then right for each panel,
+    as (lo, hi, values, errors)."""
+    mid = 0.5 * (lo + hi)
+    c_lo = np.column_stack((lo, mid)).ravel()
+    c_hi = np.column_stack((mid, hi)).ravel()
+    return (c_lo, c_hi) + _panels(f, c_lo, c_hi)
 
 
 def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = 1e-10,
@@ -75,6 +106,18 @@ def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = 1e-10,
     (k, ...): trailing axes integrate jointly under a shared refinement driven
     by the worst component.  Returns (value, error_estimate).  ``min_panels``
     forces an initial uniform split.
+
+    Refinement runs in generations while the error sum exceeds
+    tol = max(atol, rtol * max|value|).  Each generation sorts the live panels
+    worst-first, ties in creation order, and bisects the shortest prefix whose
+    errors cover the excess over tol, no more than ``max_panels`` allows.  A
+    panel holding most of the prefix's error is bisected alone first; if a
+    half is still worse than the next panel in line, the generation ends
+    there, as a one-panel-at-a-time refinement would take that half next.
+    The integrand sees at most ``_CALL_PANELS`` panels per call.  A panel too
+    narrow to bisect in floating point leaves refinement: its error leaves the
+    running sum but stays in the returned estimate.  A NaN error stops
+    refinement.
     """
     if a == b:
         return 0j, 0.0
@@ -83,43 +126,48 @@ def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = 1e-10,
         a, b = b, a
         sign = -1.0
     edges = np.linspace(a, b, max(1, min_panels) + 1)
-    heap = []
-    seq = 0
-    total = None
-    total_err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel(f, lo, hi)
-        heapq.heappush(heap, (-err, seq, lo, hi, val, err))
-        total = val if total is None else total + val
-        total_err += err
-        seq += 1
-    frozen = []  # panels at floating-point width, kept out of refinement
-    while total_err > max(atol, rtol * float(np.max(np.abs(total)))) \
-            and len(heap) + len(frozen) < max_panels and heap:
-        item = heapq.heappop(heap)
-        _, _, lo, hi, old_val, old_err = item
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            frozen.append(item)
-            total_err -= old_err  # cannot be improved; stop counting it
+    lo, hi = edges[:-1], edges[1:]
+    val, err = _panels(f, lo, hi)
+    seq = np.arange(lo.size)  # creation order, the tie break
+    live = np.ones(lo.size, dtype=bool)  # False once at floating-point width
+    while True:
+        tol = max(atol, rtol * float(np.max(np.abs(val.sum(axis=0)))))
+        total_err = float(err[live].sum())
+        room = max_panels - lo.size
+        if not (total_err > tol and room > 0):
+            break
+        order = np.flatnonzero(live)
+        order = order[np.lexsort((seq[order], -err[order]))]
+        take = order[:np.searchsorted(np.cumsum(err[order]), total_err - tol) + 1]
+        mid = 0.5 * (lo[take] + hi[take])
+        ok = (lo[take] < mid) & (mid < hi[take])
+        live[take[~ok]] = False
+        split = take[ok][:room]
+        if not split.size:
             continue
-        total = total - old_val
-        total_err -= old_err
-        for u, v in ((lo, mid), (mid, hi)):
-            val, err = _panel(f, u, v)
-            heapq.heappush(heap, (-err, seq, u, v, val, err))
-            total = total + val
-            total_err += err
-            seq += 1
-    # Re-sum in interval order so results do not depend on refinement history.
-    panels = sorted(heap + frozen, key=lambda item: item[2])
-    value = panels[0][4]
-    for p in panels[1:]:
-        value = value + p[4]
-    err = float(sum(p[5] for p in panels))
+        lead = split.size
+        if lead > 1 and err[split[0]] > err[split[1:]].sum():
+            lead = 1
+        kids = _bisect(f, lo[split[:lead]], hi[split[:lead]])
+        if lead < split.size and np.max(kids[3]) <= err[split[lead]]:
+            rest = _bisect(f, lo[split[lead:]], hi[split[lead:]])
+            kids = tuple(np.concatenate(p) for p in zip(kids, rest))
+        else:
+            split = split[:lead]
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        new = kids[0].size
+        lo, hi, val, err = (np.concatenate((old[keep], kid))
+                            for old, kid in zip((lo, hi, val, err), kids))
+        live = np.concatenate((live[keep], np.ones(new, dtype=bool)))
+        seq = np.concatenate((seq[keep], seq.max() + 1 + np.arange(new)))
+    # Sum in interval order so results do not depend on refinement history.
+    order = np.argsort(lo)
+    value = np.cumsum(val[order], axis=0)[-1]
+    err = float(np.cumsum(err[order])[-1])
     if np.ndim(value) == 0:
         return sign * complex(value), err
-    return sign * np.asarray(value), err
+    return sign * value, err
 
 
 _TAIL_START = 8.0

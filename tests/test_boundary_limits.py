@@ -158,6 +158,12 @@ def test_inverted_tan_profile_splits_at_its_pole(tan_fn):
         (0.2, pytest.approx(pole, rel=1e-15)), (pytest.approx(pole, rel=1e-15), 0.5)]
 
 
+def test_inverted_tan_profile_over_its_accumulation_point(tan_fn):
+    # The poles of tan(-1/z) accumulate at 0, inside this interval.
+    with pytest.raises(SpecError, match="accumulate"):
+        phi_profile(invert_variable(tan_fn), -0.5, 0.5, 0.1)
+
+
 def _barycentric_per_point(ts, vs, t):
     n = len(ts)
     w = np.ones(n)

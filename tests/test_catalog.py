@@ -296,6 +296,56 @@ def test_pole_locators():
     assert np.allclose(np.sort(got), np.sort(expect))
 
 
+@pytest.mark.parametrize("kind, lo, hi", [
+    ("tan", -math.inf, 0.0), ("tan", 0.0, math.inf), ("cot", -math.inf, math.inf),
+    ("csc2", 1.0, math.inf), ("tan_sigma_log", 0.5, math.inf),
+    ("cot_sigma_log", -math.inf, math.inf), ("csc2_sigma_log", 0.0, math.inf),
+])
+def test_lattice_locator_rejects_infinite_windows(kind, lo, hi):
+    params = {"sigma": 1.5} if kind.endswith("sigma_log") else {}
+    with pytest.raises(SpecError, match="accumulate"):
+        catalog_build(CatalogSpec(kind, params)).pole_locator(lo, hi)
+
+
+def test_inverted_tan_locator_over_its_accumulation_point(tan_fn):
+    # The window's image under -1/z reaches both infinities of the tan lattice.
+    with pytest.raises(SpecError, match="accumulate"):
+        invert_variable(tan_fn).pole_locator(-1.0, 1.0)
+
+
+def _lattice_reference(kind, sigma, lo, hi):
+    # The lattice enumerated point by point over a range wide enough for the
+    # windows drawn below; the logarithmic lattices stop at 1e-300 near 0.
+    ns = range(-700, 200)
+    if kind.endswith("sigma_log"):
+        lo = max(lo, 1e-300)
+        pts = [math.exp(n * (math.pi / (2.0 * sigma))) for n in ns]
+    else:
+        pts = [math.pi * n / (1.0 if kind == "cot" else 2.0) for n in ns]
+    keep = {"tan": lambda n: n % 2, "cot": lambda n: True, "csc2": lambda n: True,
+            "tan_sigma_log": lambda n: n % 2, "cot_sigma_log": lambda n: n % 2 == 0,
+            "csc2_sigma_log": lambda n: True}[kind]
+    return sorted(p for n, p in zip(ns, pts) if keep(n) and lo < p < hi)
+
+
+@pytest.mark.parametrize("kind", ["tan", "cot", "csc2", "tan_sigma_log",
+                                  "cot_sigma_log", "csc2_sigma_log"])
+def test_lattice_locator_finite_windows(kind):
+    sigma = 1.5
+    f = catalog_build(CatalogSpec(kind, {"sigma": sigma} if "sigma" in kind else {}))
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        if "sigma" in kind:
+            lo = rng.uniform(-1.0, 3.0)
+            hi = lo + 10.0 ** rng.uniform(-2.0, 2.0)
+        else:
+            lo = rng.uniform(-50.0, 50.0)
+            hi = lo + rng.uniform(0.1, 30.0)
+        got = np.sort(f.pole_locator(lo, hi))
+        ref = _lattice_reference(kind, sigma, lo, hi)
+        assert len(got) == len(ref) and np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
 def test_spec_json_roundtrip():
     spec = CatalogSpec("rational", {"a": 0 + 0j, "b": 3 + 0j,
                                     "poles": [5.0], "coeffs": [4 + 1j]})
@@ -318,13 +368,13 @@ def _power_measure(p):
 def panel_count(monkeypatch):
     """Counts Gauss-Kronrod panels evaluated while the test runs."""
     count = [0]
-    panel = quadrature._panel
+    panels = quadrature._panels
 
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return panel(*args, **kwargs)
+    def counted(f, lo, hi):
+        count[0] += np.size(lo)
+        return panels(f, lo, hi)
 
-    monkeypatch.setattr(quadrature, "_panel", counted)
+    monkeypatch.setattr(quadrature, "_panels", counted)
     return count
 
 

@@ -1,5 +1,10 @@
-import numpy as np
+import math
 
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from herglotz import quadrature
 from herglotz.quadrature import (adaptive_quad, quad_power_weighted_zero,
                                  quad_real_line, trapezoid_periodic)
 
@@ -69,3 +74,147 @@ def test_periodic_trapezoid():
 def test_orientation():
     val, _ = adaptive_quad(_c(lambda x: x), 1.0, 0.0)
     assert abs(val + 0.5) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# The generational kernel: panel counts, call sizes, budgets and stops
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Panels evaluated through ``_panels`` and the node count of every
+    integrand call, while the test runs."""
+    seen = {"panels": 0, "calls": [], "spans": []}
+    panels = quadrature._panels
+
+    def counted(f, lo, hi):
+        seen["panels"] += np.size(lo)
+        seen["spans"].extend(zip(lo, hi))
+
+        def g(x):
+            seen["calls"].append(np.size(x))
+            return f(x)
+
+        return panels(g, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_panels", counted)
+    return seen
+
+
+_LORENTZ_C = np.array([-0.5, 0.1, 0.6])
+_LORENTZ_Y = np.array([1e-2, 1e-3, 1e-4])
+
+# Panels evaluated by the one-panel-at-a-time kernel this one replaced, at the
+# default tolerances: the generational kernel may not need more.
+_PANEL_BOUNDS = [
+    ("sqrt", _c(np.sqrt), 0.0, 1.0, 27),
+    ("x^-0.9", _c(lambda x: x ** -0.9), 0.0, 1.0, 535),
+    ("log", _c(np.log), 0.0, 1.0, 49),
+    ("exp(40ix)", lambda x: np.exp(40j * x), -3.0, 3.0, 127),
+    ("pole 1e-6", lambda x: 1.0 / (x - 0.3 - 1e-6j), -1.0, 1.0, 101),
+    ("pole 1e-9", lambda x: 1.0 / (x - 0.3 - 1e-9j), -1.0, 1.0, 189),
+    ("kink", _c(lambda x: np.abs(x - 1.0 / 3.0)), -1.0, 1.0, 23),
+    ("lorentzians", lambda x: (_LORENTZ_Y / ((x[:, None] - _LORENTZ_C) ** 2
+                                             + _LORENTZ_Y ** 2)).astype(complex),
+     -1.0, 1.0, 123),
+]
+
+
+@pytest.mark.parametrize("name, f, a, b, bound", _PANEL_BOUNDS,
+                         ids=[case[0] for case in _PANEL_BOUNDS])
+def test_panel_counts_and_call_sizes(evaluated, name, f, a, b, bound):
+    val, err = adaptive_quad(f, a, b)
+    assert evaluated["panels"] <= bound
+    assert max(evaluated["calls"]) <= 8 * 15
+    assert err <= max(1e-10, 1e-9 * float(np.max(np.abs(val))))
+
+
+def test_line_panel_count(evaluated):
+    val, _ = quad_real_line(_c(lambda s: 1.0 / (1.0 + s * s)))
+    assert evaluated["panels"] <= 19
+    assert abs(val - np.pi) < 1e-12
+
+
+def test_wide_initial_split_is_chunked(evaluated):
+    val, _ = adaptive_quad(lambda x: np.exp(1j * x), 0.0, 10.0, min_panels=50)
+    assert evaluated["calls"][:7] == [120] * 6 + [30]
+    assert max(evaluated["calls"]) <= 120
+    assert abs(val - (np.exp(10j) - 1.0) / 1j) < 1e-12
+
+
+@pytest.mark.parametrize("max_panels", [1, 2, 5, 30, 101])
+def test_panel_budget_is_never_exceeded(evaluated, max_panels):
+    # x^-0.9 on (0, 1) needs 268 panels at the default tolerances, so each
+    # budget below runs out; with one initial panel, every bisection adds one.
+    adaptive_quad(_c(lambda x: x ** -0.9), 0.0, 1.0, max_panels=max_panels)
+    assert (evaluated["panels"] + 1) // 2 == max_panels
+
+
+def test_frozen_panel_leaves_refinement(evaluated):
+    # Near 2**40 the float spacing is 2**-12, so bisection reaches panels whose
+    # midpoint rounds onto an end before the singularity at a + 1/3 (off the
+    # float grid) is resolved.  The panel is frozen, the rest converges within
+    # the budget, and the frozen error keeps the estimate above tolerance.
+    a = 2.0 ** 40
+    val, err = adaptive_quad(_c(lambda x: np.abs((x - a) - 1.0 / 3.0) ** -0.5),
+                             a, a + 1.0)
+    stuck = [(lo, hi) for lo, hi in evaluated["spans"] if not lo < 0.5 * (lo + hi) < hi]
+    assert stuck
+    assert (evaluated["panels"] + 1) // 2 < 4000
+    assert np.isfinite(val)
+    assert err > max(1e-10, 1e-9 * abs(val))
+
+
+def test_nan_error_stops_refinement(evaluated):
+    # A node lands on the pole of this non-integrable integrand; the NaN error
+    # ends refinement where the one-panel-at-a-time kernel stopped, at 99.
+    val, err = adaptive_quad(_c(lambda x: 1.0 / np.abs(x - 0.2)), -1.0, 1.0)
+    assert math.isnan(err)
+    assert evaluated["panels"] <= 99
+
+
+def _closed_form(coeffs, k, a, b):
+    """Integral of P(x) exp(ikx) over [a, b], P with the given coefficients."""
+    p = np.polynomial.Polynomial(coeffs)
+    if k == 0:
+        q = p.integ()
+        return complex(q(b) - q(a))
+    total = 0j
+    for j in range(len(coeffs)):
+        dp = p.deriv(j)
+        total += (-1) ** j / (1j * k) ** (j + 1) * (dp(b) * np.exp(1j * k * b)
+                                                    - dp(a) * np.exp(1j * k * a))
+    return total
+
+
+_COEFFS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=7)
+_WAVE = st.just(0.0) | st.floats(1.0, 30.0) | st.floats(-30.0, -1.0)
+_ENDS = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_COEFFS, _WAVE, _ENDS)
+def test_polynomial_waves_meet_tolerance(coeffs, k, ends):
+    a, b = ends
+    p = np.polynomial.Polynomial(coeffs)
+    val, _ = adaptive_quad(lambda x: p(x) * np.exp(1j * k * x), a, b)
+    exact = _closed_form(coeffs, k, a, b)
+    assert abs(val - exact) <= max(1e-10, 1e-9 * abs(exact))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.tuples(_COEFFS, _WAVE), min_size=1, max_size=4), _ENDS)
+def test_polynomial_wave_columns_meet_tolerance(columns, ends):
+    # Columns refine jointly against tol = max(atol, rtol * max_j |I_j|).
+    a, b = ends
+    assume(a != b)  # an empty interval returns the scalar 0j
+    polys = [np.polynomial.Polynomial(c) for c, _ in columns]
+    ks = np.array([k for _, k in columns])
+
+    def f(x):
+        return np.stack([p(x) for p in polys], axis=1) * np.exp(1j * x[:, None] * ks)
+
+    val, _ = adaptive_quad(f, a, b)
+    exact = np.array([_closed_form(c, k, a, b) for c, k in columns])
+    assert val.shape == (len(columns),)
+    assert np.max(np.abs(val - exact)) <= max(1e-10, 1e-9 * np.max(np.abs(exact)))
