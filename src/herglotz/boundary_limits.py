@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
-from .catalog import AnalyticFunction
+from .catalog import AnalyticFunction, _interior_kinks
 from .errors import NonSimpleBehaviorError, SpecError
 from .extraction import _side_sign, sup_abs_growth
 from .measures import TestFunction
@@ -183,20 +183,6 @@ class PhiProfile:
 
     def rows(self):
         return [(float(t), complex(v).real, complex(v).imag) for t, v in self._samples()]
-
-
-def _interior_kinks(f: AnalyticFunction, a: float, b: float):
-    """Interior points of [a, b] where the profile may lose analyticity."""
-    pts = set()
-    for entry in f.boundary_support:
-        for p in entry[1:]:
-            if math.isfinite(p) and a < p < b:
-                pts.add(float(p))
-    if f.pole_locator is not None:
-        for p in np.atleast_1d(f.pole_locator(a, b)):
-            if a < p < b:
-                pts.add(float(p))
-    return sorted(pts)
 
 
 def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,

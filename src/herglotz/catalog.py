@@ -583,3 +583,11 @@ def boundary_atoms_in_window(f: AnalyticFunction, lo: float, hi: float) -> np.nd
     if f.pole_locator is None:
         return np.array([])
     return np.atleast_1d(np.asarray(f.pole_locator(lo, hi), dtype=float))
+
+
+def _interior_kinks(f: AnalyticFunction, a: float, b: float) -> list:
+    """Sorted points inside (a, b) where the boundary values of f may lose
+    analyticity: finite ends of its boundary support and located poles."""
+    pts = [p for entry in f.boundary_support for p in entry[1:]]
+    pts += boundary_atoms_in_window(f, a, b).tolist()
+    return sorted({float(p) for p in pts if math.isfinite(p) and a < p < b})

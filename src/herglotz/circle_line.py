@@ -25,7 +25,7 @@ from .catalog import _INVERSION, AnalyticFunction, invert_variable
 from .errors import SpecError
 from .extrapolation import ExtrapolatedLimit, LimitSchedule
 from .measures import TestFunction, _image_pieces
-from .quadrature import adaptive_quad, quad_real_line, trapezoid_periodic
+from .quadrature import adaptive_quad, quad_real_line
 from .sphere import cayley_to_halfplane_values
 
 __all__ = [
@@ -52,9 +52,8 @@ class RadiusSchedule(LimitSchedule):
             raise SpecError("require y0 < 1 for a radius schedule")
 
 
-# Full-period trapezoid sums resolve structure of scale 1-r only while
-# 8192 * (1-r) stays large; the joined check therefore stops its radius
-# schedule earlier than the windowed adaptive integrals need to.
+# Twelve radii at order 8 cost the joined check 33-80 % more evaluations and
+# gave a worse gap on -1/z and z^(1/2), and about the same on tan.
 JOINED_R_SCHEDULE = RadiusSchedule(steps=8, order=6)
 
 
@@ -83,11 +82,7 @@ def circle_measure_functional(phi: AnalyticFunction, r: float,
         return test(t) * 0.5 * (inner - outer)
 
     lo, hi = test.support
-    if lo <= -math.pi and hi >= math.pi:
-        val, _ = trapezoid_periodic(integrand, tol=atol)
-    else:
-        val, _ = adaptive_quad(integrand, max(lo, -math.pi), min(hi, math.pi),
-                               atol=atol)
+    val, _ = adaptive_quad(integrand, max(lo, -math.pi), min(hi, math.pi), atol=atol)
     return complex(val)
 
 
@@ -135,16 +130,16 @@ def _gap_report(lhs: ExtrapolatedLimit, rhs: ExtrapolatedLimit, lhs_what: str,
 
 def _inner_circle_side(f: AnalyticFunction, test: TestFunction,
                        rsched: RadiusSchedule, atol: float) -> ExtrapolatedLimit:
+    """r -> 1 limit of int test(tan(t/2)) phi(r e^{it}) dt over the image of
+    the test support, phi the disc companion of f."""
+    disc = to_disc(f)
     lo, hi = test.support
     ta, tb = 2.0 * math.atan(lo), 2.0 * math.atan(hi)
 
     def sample(gap):
-        r = 1.0 - gap
-
         def integrand(t):
             t = np.asarray(t, dtype=float)
-            s = np.tan(0.5 * t)
-            return test(s) * (-1j) * f(cayley_to_halfplane_values(r * np.exp(1j * t)))
+            return test(np.tan(0.5 * t)) * disc((1.0 - gap) * np.exp(1j * t))
         return adaptive_quad(integrand, ta, tb, atol=atol)[0]
 
     return rsched.limit(sample)
@@ -234,24 +229,13 @@ def joined_distribution_check(f: AnalyticFunction, test: TestFunction,
                               atol: float = 1e-11) -> GapReport:
     """Full-period circle pairing versus the two-chart line pairing.
 
-    The circle side integrates test(tan(t/2)) phi(r e^{it}) over a whole
-    period; the line side splits at +-1 and carries the outer part through the
-    inversion chart.  Tests must be smooth on the extended line (equal limits
-    at both infinities).
+    The circle side integrates test(tan(t/2)) phi(r e^{it}) over the image of
+    the test support, a whole period for a test on the whole line; the line
+    side splits at +-1 and carries the outer part through the inversion chart.
+    Tests must be smooth on the extended line (equal limits at both
+    infinities).
     """
-    disc = to_disc(f)
-
-    def circle_sample(gap):
-        r = 1.0 - gap
-
-        def g(t):
-            t = np.asarray(t, dtype=float)
-            s = np.tan(0.5 * t)
-            return test(s) * disc.fn(r * np.exp(1j * t))
-        return trapezoid_periodic(g, tol=atol)[0]
-
-    circle = rsched.limit(circle_sample)
-
+    circle = _inner_circle_side(f, test, rsched, atol)
     tilde_f = invert_variable(f)
     tilde_test = _transport_inversion(test)
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .catalog import _INVERSION, AnalyticFunction, invert_variable
 from .errors import NonSimpleBehaviorError, SpecError
-from .extrapolation import ExtrapolatedLimit, LimitSchedule, best_limit, diverged
+from .extrapolation import (ExtrapolatedLimit, LimitSchedule, best_limit, diverged,
+                            limit_from_samples)
 from .measures import TestFunction, _image_pieces
 from .quadrature import quad_real_line
 
@@ -84,8 +85,7 @@ def density_at(f: AnalyticFunction, x: float,
     """
     ys = sched.heights
     vals = _density_samples(f, np.array([x], dtype=float), ys)[:, 0]
-    value, err = best_limit(ys, vals, order=sched.order)
-    return ExtrapolatedLimit(value, err, tuple(zip(ys.tolist(), vals.tolist())))
+    return limit_from_samples(ys, vals, order=sched.order)
 
 
 def density_grid(f: AnalyticFunction, xs,

@@ -3,7 +3,8 @@
 Samples at y_k = y0 * ratio^k are polynomial-extrapolated to y = 0.  The
 tableau depth is capped so that the returned diagonal entry only depends on the
 smallest sampled heights, which keeps the extrapolation inside the disc of
-analyticity even when nearby boundary singularities limit its radius.
+analyticity even when nearby boundary singularities limit its radius.  Every
+limit falls back to Aitken acceleration where that estimates a smaller error.
 """
 from __future__ import annotations
 
@@ -112,9 +113,10 @@ def neville_zero_limit(xs: Sequence[float], fs, order: int = 8):
 
 def limit_from_samples(ys: Sequence[float], values: Sequence[complex],
                        order: int = 8) -> ExtrapolatedLimit:
-    value, err = neville_zero_limit(ys, values, order=order)
+    """best_limit of the samples, which it keeps as the sequence."""
+    value, err = best_limit(ys, values, order=order)
     seq = tuple((float(y), complex(v)) for y, v in zip(ys, values))
-    return ExtrapolatedLimit(complex(value), float(err), seq)
+    return ExtrapolatedLimit(value, err, seq)
 
 
 def aitken_limit(values, passes: int = 2):

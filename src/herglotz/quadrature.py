@@ -25,7 +25,6 @@ __all__ = [
     "adaptive_quad",
     "quad_real_line",
     "quad_power_weighted_zero",
-    "trapezoid_periodic",
 ]
 
 # 15-point Kronrod abscissae on [-1, 1]; the embedded 7-point Gauss nodes are
@@ -97,6 +96,13 @@ def _bisect(f: Callable, lo: np.ndarray, hi: np.ndarray):
     return (c_lo, c_hi) + _panels(f, c_lo, c_hi)
 
 
+def _zero(f: Callable):
+    """The integral over an empty interval: zero with the integrand's trailing
+    shape, read from one call of f on no nodes."""
+    shape = np.shape(f(np.empty(0)))[1:]
+    return (np.zeros(shape, dtype=complex) if shape else 0j), 0.0
+
+
 def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = 1e-10,
                   rtol: float = 1e-9, max_panels: int = 4000,
                   min_panels: int = 1):
@@ -120,7 +126,7 @@ def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = 1e-10,
     refinement.
     """
     if a == b:
-        return 0j, 0.0
+        return _zero(f)
     sign = 1.0
     if b < a:
         a, b = b, a
@@ -206,7 +212,7 @@ def quad_real_line(f: Callable, lo: float = -math.inf, hi: float = math.inf, *,
     through the inverse-square map.
     """
     if lo == hi:
-        return 0j, 0.0
+        return _zero(f)
     if lo > hi:
         val, err = quad_real_line(f, hi, lo, atol=atol, rtol=rtol,
                                   max_panels=max_panels)
@@ -253,28 +259,3 @@ def quad_power_weighted_zero(g: Callable, delta: float, m: int = 1, *,
 
     return adaptive_quad(h, 0.0, 1.0, atol=atol, rtol=rtol,
                          max_panels=2000, min_panels=2)
-
-
-def trapezoid_periodic(g: Callable, *, tol: float = 1e-12):
-    """Integrate a smooth 2*pi-periodic integrand over a full period.
-
-    Equispaced trapezoid sums with node doubling from 64 up to 8192 nodes;
-    spectrally accurate for smooth integrands.  Returns (value, estimate from
-    the last doubling).
-    """
-    n = 64
-    t = -math.pi + 2.0 * math.pi * np.arange(n) / n
-    prev = 2.0 * math.pi * np.mean(np.asarray(g(t), dtype=complex))
-    est = abs(prev)
-    while n < 8192:
-        # Reuse previous nodes: new points are the midpoints.
-        t_new = t + math.pi / n
-        extra = 2.0 * math.pi * np.mean(np.asarray(g(t_new), dtype=complex))
-        cur = 0.5 * (prev + extra)
-        est = abs(cur - prev)
-        n *= 2
-        t = np.sort(np.concatenate([t, t_new]))
-        prev = cur
-        if est <= tol * max(1.0, abs(cur)):
-            break
-    return complex(prev), float(est)

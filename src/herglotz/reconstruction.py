@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import AnalyticFunction, cauchy_eval
+from .catalog import AnalyticFunction, _interior_kinks, cauchy_eval
 from .errors import NonSimpleBehaviorError, SpecError
 from .extrapolation import LimitSchedule, diverged
 from .extraction import (atomic_mass_at_infinity, atomic_mass_batch,
@@ -213,6 +213,13 @@ def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> Reconstruction
         us, vs = np.array(pieces).T
         betas = np.concatenate([sup_abs_growth(f, us[b], vs[b], nx=scan_nx, ny=9)
                                 for b in batches])
+        # A singularity between scan abscissae escapes the grid; the catalog's
+        # kinks inside a piece get a column of their own.
+        kinks = [_interior_kinks(f, u, v) for u, v in pieces]
+        if any(kinks):
+            ks = np.concatenate(kinks)
+            owner = np.repeat(np.arange(n), [len(k) for k in kinks])
+            np.maximum.at(betas, owner, sup_abs_growth(f, ks, ks, nx=1, ny=9))
         for (u, v), beta in zip(pieces, betas):
             if beta > 1.35:
                 raise NonSimpleBehaviorError(
@@ -247,14 +254,13 @@ def resynthesis_residual(f: AnalyticFunction, result: ReconstructionResult,
                          probes: Sequence[complex], *,
                          atol: float = 1e-11) -> float:
     """Max over probes of |f(z) - resynthesized Cauchy transform at z|."""
-    worst = 0.0
-    for z in probes:
-        z = complex(z)
-        if z.imag == 0.0:
-            raise SpecError("probes must lie off the real line")
-        synth = cauchy_eval(result.measure, result.constant, z, atol=atol)
-        worst = max(worst, abs(f(z) - synth))
-    return worst
+    zs = np.asarray(probes, dtype=complex).ravel()
+    if np.any(zs.imag == 0.0):
+        raise SpecError("probes must lie off the real line")
+    if not zs.size:
+        return 0.0
+    synth = cauchy_eval(result.measure, result.constant, zs, atol=atol)
+    return float(np.max(np.abs(f(zs) - synth)))
 
 
 def tan_sigma_log_masses(sigma: float, n_range: Sequence[int]):

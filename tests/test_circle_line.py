@@ -51,6 +51,19 @@ def test_circle_limit_recovers_density():
     assert abs(got.value - re) <= 1e-6 * max(1.0, abs(re))
 
 
+def test_full_period_circle_pairing():
+    # Pairing cos t with the circle measure of the 2*pi atom at angle 0 gives
+    # 2 pi r exactly; the peak of width 1 - r sits inside a full period.
+    phi = _herglotz_atom_at_angle_zero()
+    cos_t = TestFunction(lambda t: np.cos(np.asarray(t, dtype=float)) + 0j,
+                         (-np.inf, np.inf))
+    for r in (0.9, 0.999, 0.9999):
+        assert abs(circle_measure_functional(phi, r, cos_t) - 2 * np.pi * r) <= 1e-12
+    got = circle_limit(phi, cos_t)
+    assert got.converged
+    assert abs(got.value - 2 * np.pi) <= 1e-10
+
+
 def test_circle_functional_linearity():
     phi = _herglotz_atom_at_angle_zero()
     t1 = smooth_bump(-1.0, 1.0)

@@ -33,6 +33,13 @@ def test_neville_constant_is_exact():
     assert limit.converged
 
 
+def test_schedule_limit_falls_back_to_aitken():
+    # A square-root rate defeats the polynomial tableau; Aitken takes over.
+    limit = LimitSchedule().limit(lambda y: 1.0 + np.sqrt(y))
+    assert limit.converged
+    assert abs(limit.value - 1.0) <= 1e-12
+
+
 def test_divergent_sequence_flags():
     ys = LimitSchedule().heights
     limit = limit_from_samples(ys, 1.0 / ys + 0j)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from herglotz import quadrature
-from herglotz.quadrature import (adaptive_quad, quad_power_weighted_zero,
-                                 quad_real_line, trapezoid_periodic)
+from herglotz.quadrature import adaptive_quad, quad_power_weighted_zero, quad_real_line
 
 
 def _c(fn):
@@ -64,11 +63,22 @@ def test_improper_corner_integral():
     assert abs(val0 - 1j * delta) < 1e-12
 
 
-def test_periodic_trapezoid():
-    val, _ = trapezoid_periodic(lambda t: np.exp(3j * np.asarray(t, dtype=float)))
-    assert abs(val) < 1e-13
-    val1, _ = trapezoid_periodic(lambda t: np.cos(np.asarray(t, dtype=float)) ** 2 + 0j)
-    assert abs(val1 - np.pi) < 1e-12
+def test_empty_interval_keeps_trailing_shape():
+    seen = []
+
+    def two_columns(x):
+        # Singular at the endpoint 1: the empty interval must never evaluate it.
+        seen.append(np.size(x))
+        x = np.asarray(x, dtype=float)
+        return np.column_stack((1.0 / (x - 1.0), x)).astype(complex)
+
+    for quad, a in ((adaptive_quad, 1.0), (quad_real_line, 1.0),
+                    (quad_real_line, math.inf)):
+        val, err = quad(two_columns, a, a)
+        assert val.shape == (2,) and not val.any() and err == 0.0
+    assert seen == [0, 0, 0]
+    val, err = adaptive_quad(_c(lambda x: x), 0.5, 0.5)
+    assert type(val) is complex and val == 0j and err == 0.0
 
 
 def test_orientation():

@@ -122,6 +122,23 @@ def test_simple_behavior_gate():
         reconstruct(f, ReconstructionSpec(window=(-2.0, 2.0), sigma_points=(0.0,)))
 
 
+def test_scan_gate_sees_kink_between_abscissae():
+    # The singularity at 0 falls between the scan abscissae of [-2, 0.999];
+    # the column at the catalog's kink sees it.
+    f = catalog_build(CatalogSpec("power", {"p": -1.5}))
+    with pytest.raises(NonSimpleBehaviorError) as err:
+        reconstruct(f, ReconstructionSpec(window=(-2.0, 2.0), sigma_points=(1.0,)))
+    assert str(err.value) == "density scan piece [-2.0, 0.999]: |f| grows like y^-1.50"
+
+
+def test_resynthesis_probes(minus_inverse):
+    res = reconstruct(minus_inverse, ReconstructionSpec(window=(-3.0, 3.0),
+                                                        sigma_points=(0.0,)))
+    assert resynthesis_residual(minus_inverse, res, []) == 0.0
+    with pytest.raises(SpecError):
+        resynthesis_residual(minus_inverse, res, [2j, 1.0])
+
+
 def test_scan_gate_names_first_failing_piece():
     # Double poles make |f| grow like y^-2; the pieces are [-2, -0.001],
     # [0.001, 2.999] and [3.001, 8], scanned in one pass.
