@@ -28,7 +28,7 @@ from .catalog import AnalyticFunction, _interior_kinks
 from .errors import NonSimpleBehaviorError, SpecError
 from .extraction import _side_sign, sup_abs_growth
 from .measures import TestFunction
-from .quadrature import _lobatto, adaptive_quad, quad_power_weighted_zero
+from .quadrature import _lobatto, _refine, adaptive_quad, quad_power_weighted_zero
 
 __all__ = [
     "normalized_antiderivative",
@@ -58,11 +58,8 @@ def _cheb_interpolate(fn: Callable, a: float, b: float, tol: float = 1e-13,
                       max_deg: int = 1024) -> Chebyshev:
     deg = 16
     while True:
-        re = Chebyshev.interpolate(lambda x: np.asarray(fn(x), dtype=complex).real,
-                                   deg, domain=[a, b])
-        im = Chebyshev.interpolate(lambda x: np.asarray(fn(x), dtype=complex).imag,
-                                   deg, domain=[a, b])
-        coef = re.coef + 1j * im.coef
+        coef = Chebyshev.interpolate(lambda x: np.asarray(fn(x), dtype=complex),
+                                     deg, domain=[a, b]).coef
         scale = np.max(np.abs(coef))
         tail = np.max(np.abs(coef[-4:])) if scale > 0 else 0.0
         if deg >= max_deg or scale == 0.0 or tail <= tol * scale:
@@ -155,34 +152,25 @@ class PhiProfile:
 
     The profile is analytic away from the boundary support of the underlying
     function, so it is sampled on Chebyshev-Lobatto nodes per analyticity
-    segment and interpolated barycentrically segment by segment.
+    segment and interpolated barycentrically segment by segment.  ``edges``
+    are the ends of those pieces; each is a node, shared by both neighbours.
     """
 
     a: float
     b: float
     delta: float
-    segments: tuple  # ((lo, hi, nodes, values), ...)
-
-    def _samples(self):
-        """(node, value) pairs in order; a segment's first sample is skipped
-        when it repeats the previous segment's last node."""
-        out, last = [], None
-        for _, _, ts, vs in self.segments:
-            skip = int(last is not None and ts[0] == last)
-            out.extend(zip(ts[skip:], vs[skip:]))
-            last = ts[-1]
-        return out
-
-    @property
-    def nodes(self) -> tuple:
-        return tuple(t for t, _ in self._samples())
-
-    @property
-    def values(self) -> tuple:
-        return tuple(v for _, v in self._samples())
+    edges: tuple
+    nodes: tuple
+    values: tuple
 
     def rows(self):
-        return [(float(t), complex(v).real, complex(v).imag) for t, v in self._samples()]
+        return [(float(t), complex(v).real, complex(v).imag)
+                for t, v in zip(self.nodes, self.values)]
+
+
+def _check_box(a: float, b: float, delta: float):
+    if not (math.isfinite(a) and math.isfinite(b) and a < b and 0.0 < delta < math.inf):
+        raise SpecError("require finite a < b and 0 < delta < inf")
 
 
 def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
@@ -198,46 +186,41 @@ def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
     on the upper side; the lower side replaces i by -i throughout.
 
     The sample splits [a, b] at known boundary-support points of f, where Phi
-    is continuous but can fail to be differentiable.
+    is continuous but can fail to be differentiable.  The line integrals of
+    every node come from one cumulative quadrature over [a, b] with the nodes
+    as panel edges, so one tolerance, atol or 1e-9 of the largest integral
+    over [a, b], covers all nodes.
     """
-    if delta <= 0 or not a < b:
-        raise SpecError("require a < b and delta > 0")
+    _check_box(a, b, delta)
     if nodes < 5:
         raise SpecError("need at least 5 profile nodes")
     sgn = _side_sign(side)
     _require_simple(f, a, b, side, 1.0, "phi_profile")
 
     edges = [a] + _interior_kinks(f, a, b) + [b]
-    n_seg = len(edges) - 1
-    per_seg = max(9, int(math.ceil(nodes / n_seg)))
+    per_seg = max(9, int(math.ceil(nodes / (len(edges) - 1))))
+    # Each piece's first Lobatto node is the previous piece's last (ends are pinned).
+    ts = np.concatenate([[a]] + [_lobatto(lo, hi, per_seg)[1:]
+                                 for lo, hi in zip(edges[:-1], edges[1:])])
 
     iy = sgn * 1j * delta
-    line = lambda x: f(np.asarray(x, dtype=float) + iy)
-    s1, _ = adaptive_quad(lambda x: (x + iy - a) * line(x), a, b, atol=atol)
-    corner_a, corner_b = _corners(f, (a, b), delta, 1, sgn, atol)
 
-    def phi_at(t: float, e_t: complex) -> complex:
-        if t == a:
-            p = s1
-        elif t < b:
-            p, _ = adaptive_quad(lambda x: (x + iy - t) * line(x), t, b, atol=atol)
-        else:
-            p = 0j
-        w_b = (t - a) / (b - a)
-        w_a = (b - t) / (b - a)
-        return complex(p - w_a * s1 + w_b * corner_b + w_a * corner_a - e_t)
+    def line(x):
+        fx = f(x + iy)
+        return np.stack(((x - a + iy) * fx, fx), axis=-1)
 
-    # Neighbouring segments share their edge node (the Lobatto ends are
-    # pinned), so each node is evaluated once; E at a and b is the corner pair.
-    step = per_seg - 1
-    seg_ts = [_lobatto(lo, hi, per_seg) for lo, hi in zip(edges[:-1], edges[1:])]
-    ts = np.concatenate([seg_ts[0][:1]] + [t[1:] for t in seg_ts])
-    e_ts = np.concatenate(([corner_a], _corners(f, ts[1:-1], delta, 1, sgn, atol), [corner_b]))
-    vs = tuple(phi_at(t, e_t) for t, e_t in zip(ts.tolist(), e_ts))
-    segments = tuple((float(lo), float(hi), tuple(ts[k * step:(k + 1) * step + 1].tolist()),
-                      vs[k * step:(k + 1) * step + 1])
-                     for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])))
-    return PhiProfile(float(a), float(b), float(delta), segments)
+    # Panel sums per gap between nodes, then int_t^b for every node t:
+    # T0 = int (x - a + i delta) f and T1 = int f, so p = T0 - (t - a) T1.
+    lo, _, val, _ = _refine(line, ts, atol, 1e-9, 4000 + ts.size)
+    gaps = np.add.reduceat(val, np.searchsorted(lo, ts[:-1]), axis=0)
+    tail = np.concatenate((np.cumsum(gaps[::-1], axis=0)[::-1], np.zeros((1, 2))))
+    p = tail[:, 0] - (ts - a) * tail[:, 1]
+    e = _corners(f, ts, delta, 1, sgn, atol)
+    w_b = (ts - a) / (b - a)
+    w_a = (b - ts) / (b - a)
+    phi = p - w_a * p[0] + w_b * e[-1] + w_a * e[0] - e
+    return PhiProfile(float(a), float(b), float(delta), tuple(map(float, edges)),
+                      tuple(ts.tolist()), tuple(phi.tolist()))
 
 
 def pair_with_phi(profile: PhiProfile, h02: TestFunction, *,
@@ -247,11 +230,13 @@ def pair_with_phi(profile: PhiProfile, h02: TestFunction, *,
     if abs(profile.a - a) > 1e-12 or abs(profile.b - b) > 1e-12:
         raise SpecError("profile and test intervals do not match")
     h2 = h02.derivative(2)
+    ts, vs = np.asarray(profile.nodes), np.asarray(profile.values)
+    cut = np.searchsorted(ts, profile.edges)
     total = 0j
-    for lo, hi, ts, vs in profile.segments:
-        ts_arr, vs_arr = np.asarray(ts), np.asarray(vs)
+    for lo, hi, i, j in zip(profile.edges[:-1], profile.edges[1:], cut[:-1], cut[1:]):
+        seg_t, seg_v = ts[i:j + 1], vs[i:j + 1]
         val, _ = adaptive_quad(
-            lambda t: h2(t) * _barycentric(ts_arr, vs_arr,
+            lambda t: h2(t) * _barycentric(seg_t, seg_v,
                                            np.atleast_1d(np.asarray(t, dtype=float))),
             lo, hi, atol=atol)
         total += val
@@ -278,24 +263,27 @@ def boundary_limit_order_m(f: AnalyticFunction, test: TestFunction, a: float,
     """
     if not 0 <= m <= MAX_ORDER:
         raise SpecError(f"order m must lie in [0, {MAX_ORDER}]")
-    if delta <= 0 or not a < b:
-        raise SpecError("require a < b and delta > 0")
+    _check_box(a, b, delta)
     sgn = _side_sign(side)
     _require_simple(f, a, b, side, float(m) if m > 0 else 0.5,
                     "boundary_limit_order_m")
 
-    total = 0j
     cheb = None
-    line = lambda x: f(np.asarray(x, dtype=float) + sgn * 1j * delta)
-    for k in range(m + 1):
+    ds = []
+    for k in range(m + 2):
         dk, cheb = _test_derivative(test, k, a, b, cheb)
-        term, _ = adaptive_quad(lambda x: np.asarray(dk(x), dtype=complex) * line(x),
-                                a, b, atol=atol)
-        total += (sgn * 1j * delta) ** k / math.factorial(k) * term
+        ds.append(dk)
+    iy = sgn * 1j * delta
 
-    dtop, cheb = _test_derivative(test, m + 1, a, b, cheb)
+    def taylor(x):
+        # sum_k (sgn i delta)^k / k! * test^(k)(x), times f on the line at height delta
+        x = np.asarray(x, dtype=float)
+        terms = sum(iy ** k / math.factorial(k) * np.asarray(ds[k](x), dtype=complex)
+                    for k in range(m + 1))
+        return terms * f(x + iy)
+
+    total, _ = adaptive_quad(taylor, a, b, atol=atol)
     rem, _ = adaptive_quad(
-        lambda x: np.asarray(dtop(x), dtype=complex) * _corners(f, x, delta, m, sgn, atol),
+        lambda x: np.asarray(ds[m + 1](x), dtype=complex) * _corners(f, x, delta, m, sgn, atol),
         a, b, atol=atol * 10)
-    total += (sgn * 1j) ** (m + 1) / math.factorial(m) * rem
-    return complex(total)
+    return complex(total + (sgn * 1j) ** (m + 1) / math.factorial(m) * rem)

@@ -103,35 +103,24 @@ def _zero(f: Callable):
     return (np.zeros(shape, dtype=complex) if shape else 0j), 0.0
 
 
-def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = 1e-10,
-                  rtol: float = 1e-9, max_panels: int = 4000,
-                  min_panels: int = 1):
-    """Integrate a vectorized complex integrand over the finite interval [a, b].
+def _refine(f: Callable, edges: np.ndarray, atol: float, rtol: float,
+            max_panels: int):
+    """Refine the panels between consecutive ``edges`` until the error sum
+    meets tol = max(atol, rtol * max|value|), within ``max_panels`` panels.
 
-    The integrand maps a node array of shape (k,) to values of shape (k,) or
-    (k, ...): trailing axes integrate jointly under a shared refinement driven
-    by the worst component.  Returns (value, error_estimate).  ``min_panels``
-    forces an initial uniform split.
+    Returns the final panels (lo, hi, values, errors) in interval order; panels
+    only ever split, so every initial edge stays a panel edge.
 
-    Refinement runs in generations while the error sum exceeds
-    tol = max(atol, rtol * max|value|).  Each generation sorts the live panels
-    worst-first, ties in creation order, and bisects the shortest prefix whose
-    errors cover the excess over tol, no more than ``max_panels`` allows.  A
-    panel holding most of the prefix's error is bisected alone first; if a
-    half is still worse than the next panel in line, the generation ends
-    there, as a one-panel-at-a-time refinement would take that half next.
-    The integrand sees at most ``_CALL_PANELS`` panels per call.  A panel too
-    narrow to bisect in floating point leaves refinement: its error leaves the
-    running sum but stays in the returned estimate.  A NaN error stops
-    refinement.
+    Each generation sorts the live panels worst-first, ties in creation order,
+    and bisects the shortest prefix whose errors cover the excess over tol, no
+    more than ``max_panels`` allows.  A panel holding most of the prefix's
+    error is bisected alone first; if a half is still worse than the next
+    panel in line, the generation ends there, as a one-panel-at-a-time
+    refinement would take that half next.  The integrand sees at most
+    ``_CALL_PANELS`` panels per call.  A panel too narrow to bisect in floating
+    point leaves refinement: its error leaves the running sum but stays in the
+    returned errors.  A NaN error stops refinement.
     """
-    if a == b:
-        return _zero(f)
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    edges = np.linspace(a, b, max(1, min_panels) + 1)
     lo, hi = edges[:-1], edges[1:]
     val, err = _panels(f, lo, hi)
     seq = np.arange(lo.size)  # creation order, the tie break
@@ -167,10 +156,31 @@ def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = 1e-10,
                             for old, kid in zip((lo, hi, val, err), kids))
         live = np.concatenate((live[keep], np.ones(new, dtype=bool)))
         seq = np.concatenate((seq[keep], seq.max() + 1 + np.arange(new)))
-    # Sum in interval order so results do not depend on refinement history.
     order = np.argsort(lo)
-    value = np.cumsum(val[order], axis=0)[-1]
-    err = float(np.cumsum(err[order])[-1])
+    return lo[order], hi[order], val[order], err[order]
+
+
+def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = 1e-10,
+                  rtol: float = 1e-9, max_panels: int = 4000,
+                  min_panels: int = 1):
+    """Integrate a vectorized complex integrand over the finite interval [a, b].
+
+    The integrand maps a node array of shape (k,) to values of shape (k,) or
+    (k, ...): trailing axes integrate jointly under a shared refinement driven
+    by the worst component.  Returns (value, error_estimate).  ``min_panels``
+    forces an initial uniform split, which ``_refine`` then refines.
+    """
+    if a == b:
+        return _zero(f)
+    sign = 1.0
+    if b < a:
+        a, b = b, a
+        sign = -1.0
+    _, _, val, err = _refine(f, np.linspace(a, b, max(1, min_panels) + 1),
+                             atol, rtol, max_panels)
+    # Sum in interval order so results do not depend on refinement history.
+    value = np.cumsum(val, axis=0)[-1]
+    err = float(np.cumsum(err)[-1])
     if np.ndim(value) == 0:
         return sign * complex(value), err
     return sign * value, err

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from herglotz import AnalyticFunction, CatalogSpec, catalog_build
+
+# Reproducible property tests: the same examples every run, no example database.
+settings.register_profile("herglotz", deadline=None, database=None, derandomize=True)
+settings.load_profile("herglotz")
 
 
 @pytest.fixture(scope="session")

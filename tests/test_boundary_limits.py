@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from herglotz import (CatalogSpec, MobiusMatrix, TestFunction, boundary_functional,
@@ -9,11 +11,11 @@ from herglotz import (CatalogSpec, MobiusMatrix, TestFunction, boundary_function
                       invert_variable, normalized_antiderivative, pair_with_phi,
                       phi_profile, star_reflect)
 from herglotz.boundary_limits import _barycentric
-from herglotz.catalog import compose_mobius
+from herglotz.catalog import _interior_kinks, compose_mobius
 from herglotz.errors import NonSimpleBehaviorError, SpecError
-from herglotz.quadrature import _lobatto
+from herglotz.quadrature import _lobatto, adaptive_quad, quad_power_weighted_zero
 from herglotz.extraction import sup_abs_growth
-from herglotz.testing import smooth_bump
+from herglotz.testing import constant_one, smooth_bump
 
 
 def _phi_closed_form(x, a=-1.0, b=1.0):
@@ -154,14 +156,92 @@ def test_composed_profile_splits_at_moved_pole(minus_inverse):
 def test_inverted_tan_profile_splits_at_its_pole(tan_fn):
     prof = phi_profile(invert_variable(tan_fn), 0.2, 0.5, 0.1)
     pole = 2.0 / (3.0 * math.pi)  # -1/p for the tan pole p = -3 pi/2
-    assert [seg[:2] for seg in prof.segments] == [
-        (0.2, pytest.approx(pole, rel=1e-15)), (pytest.approx(pole, rel=1e-15), 0.5)]
+    assert list(prof.edges) == [0.2, pytest.approx(pole, rel=1e-15), 0.5]
 
 
 def test_inverted_tan_profile_over_its_accumulation_point(tan_fn):
     # The poles of tan(-1/z) accumulate at 0, inside this interval.
     with pytest.raises(SpecError, match="accumulate"):
         phi_profile(invert_variable(tan_fn), -0.5, 0.5, 0.1)
+
+
+def _phi_per_node(f, a, b, delta, side, nodes=129, atol=1e-11):
+    """Phi at each profile node from its own quadrature over [t, b] (the
+    formula of the phi_profile docstring, one node at a time)."""
+    sgn = 1.0 if side == "upper" else -1.0
+    iy = sgn * 1j * delta
+    edges = [a] + _interior_kinks(f, a, b) + [b]
+    per_seg = max(9, int(math.ceil(nodes / (len(edges) - 1))))
+    seg_ts = [_lobatto(lo, hi, per_seg) for lo, hi in zip(edges[:-1], edges[1:])]
+    ts = np.concatenate([seg_ts[0][:1]] + [t[1:] for t in seg_ts])
+
+    def p(t):
+        if t == b:
+            return 0j
+        return adaptive_quad(lambda x: (x + iy - t) * f(x + iy), t, b, atol=atol)[0]
+
+    def e(t):
+        return quad_power_weighted_zero(lambda y: f(t + sgn * 1j * y), delta, 1,
+                                        atol=atol)[0]
+
+    s1, e_a, e_b = p(a), e(a), e(b)
+    vals = [p(t) - (b - t) / (b - a) * s1 + (t - a) / (b - a) * e_b
+            + (b - t) / (b - a) * e_a - e(t) for t in ts.tolist()]
+    return ts, np.array(vals)
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+@pytest.mark.parametrize("fixture, a, b", [
+    ("tan_fn", -5.0, 5.0), ("minus_inverse", -1.0, 1.0), ("sqrt_fn", -2.0, 1.0),
+    ("minus_inverse", 1e4, 1e4 + 3.0), ("sqrt_fn", -100002.0, -100000.0),
+    ("tan_fn", 1000.3, 1001.0),
+])
+def test_phi_profile_matches_per_node_reference(request, fixture, a, b, side):
+    f = request.getfixturevalue(fixture)
+    prof = phi_profile(f, a, b, 0.5, side=side)
+    ts, ref = _phi_per_node(f, a, b, 0.5, side)
+    assert np.array_equal(np.asarray(prof.nodes), ts)
+    gap = np.max(np.abs(np.asarray(prof.values) - ref))
+    assert gap <= max(1e-12, 1e-9 * np.max(np.abs(ref)))
+
+
+def test_phi_profile_evaluation_count(tan_fn):
+    # The per-node formula evaluates tan 38 252 times here; one cumulative
+    # quadrature plus one corner integral per node needs 9 272.
+    seen = [0]
+
+    def counted(z):
+        seen[0] += np.size(z)
+        return tan_fn.fn(z)
+
+    phi_profile(dataclasses.replace(tan_fn, fn=counted), -5.0, 5.0, 0.5)
+    assert seen[0] <= 10_000
+
+
+@settings(max_examples=24)
+@given(which=st.integers(0, 2), coeffs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       a=st.floats(-1.4, -0.6), b=st.floats(0.6, 1.4), delta=st.floats(0.2, 0.8),
+       side=st.sampled_from(["upper", "lower"]))
+def test_phi_pairing_is_the_boundary_limit(minus_inverse, sqrt_fn, tan_fn, which, coeffs,
+                                           a, b, delta, side):
+    # The paper's identity: the limit of int h f pairs h'' with Phi.
+    f = (minus_inverse, sqrt_fn, tan_fn)[which]
+    h = normalized_antiderivative(lambda x: np.polyval(coeffs, np.asarray(x, dtype=float)),
+                                  a, b)
+    paired = pair_with_phi(phi_profile(f, a, b, delta, side=side), h)
+    assert abs(paired - boundary_functional(f, h, delta, side=side)) <= 1e-7
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: boundary_functional(f, constant_one(), 0.5),
+    lambda f: boundary_limit_order_m(f, smooth_bump(-1.0, 1.0), -math.inf, math.inf, 0.5, 1),
+    lambda f: phi_profile(f, -math.inf, 1.0, 0.5),
+    lambda f: phi_profile(f, -1.0, 1.0, math.inf),
+    lambda f: phi_profile(f, -1.0, 1.0, math.nan),
+], ids=["functional", "order-m", "profile window", "profile inf delta", "profile nan delta"])
+def test_non_finite_box_rejected(minus_inverse, call):
+    with pytest.raises(SpecError):
+        call(minus_inverse)
 
 
 def _barycentric_per_point(ts, vs, t):

@@ -228,7 +228,7 @@ def _measures(draw):
                            mixed_ok=True)
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@settings(max_examples=150)
 @given(_matrices(), _measures())
 def test_composed_support_is_the_pushforward_support(A, m):
     f = catalog_build(CatalogSpec("cauchy", {"measure": m}))
@@ -238,7 +238,7 @@ def test_composed_support_is_the_pushforward_support(A, m):
         + tuple(("point", a.loc) for a in pushed.atoms)
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@settings(max_examples=150)
 @given(_matrices(), st.lists(_LOC, min_size=1, max_size=5, unique=True), _LOC,
        st.floats(0.01, 10.0))
 def test_composed_locator_pulls_back_the_poles(A, poles, lo, width):

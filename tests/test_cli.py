@@ -209,6 +209,17 @@ def test_phi_profile_csv(tmp_path):
     assert mid[2] == pytest.approx(-np.pi / 2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("flags", [["--window=-inf,1"], ["--delta", "inf"], ["--delta", "nan"]])
+def test_phi_profile_non_finite_box_exits_1(tmp_path, flags):
+    spec = _write_spec(tmp_path / "inv.json",
+                       {"kind": "rational", "a": [0, 0], "b": [0, 0],
+                        "poles": [0.0], "coeffs": [[1, 0]]})
+    out = tmp_path / "out"
+    assert main(["phi-profile", "--spec", spec, "--window=-1,1", "--out", str(out)]
+                + flags) == 1
+    assert not (out / "phi_profile.csv").exists()
+
+
 def test_circle_line_gap_artifact(tmp_path, power_half_spec):
     out = tmp_path / "out"
     assert main(["circle-line", "--spec", power_half_spec, "--window=-4,-1",

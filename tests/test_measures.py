@@ -206,7 +206,7 @@ def _scipy_table(xs, vals, x):
             + 1j * PchipInterpolator(ts, vals.imag, extrapolate=False)(t))
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(_tables(), st.lists(st.floats(-2e3, 2e3, allow_nan=False), max_size=16))
 @example((np.array([-1.0, 2.0]), np.array([1.0 - 1j, -3.0 + 0j])), [-5.0, 0.5, 7.0])
 @example((np.linspace(-3.0, 3.0, 9), np.array([0, 0, 1, 1, 1, -2, -2, 0, 5]) * (1 + 1j)),
