@@ -188,8 +188,9 @@ def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
     The sample splits [a, b] at known boundary-support points of f, where Phi
     is continuous but can fail to be differentiable.  The line integrals of
     every node come from one cumulative quadrature over [a, b] with the nodes
-    as panel edges, so one tolerance, atol or 1e-9 of the largest integral
-    over [a, b], covers all nodes.
+    as panel edges, in two columns that enter Phi with weight at most 1, so
+    one tolerance, atol or 1e-9 of the larger column integral over [a, b],
+    bounds each column's error at every node.
     """
     _check_box(a, b, delta)
     if nodes < 5:
@@ -207,14 +208,15 @@ def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
 
     def line(x):
         fx = f(x + iy)
-        return np.stack(((x - a + iy) * fx, fx), axis=-1)
+        return np.stack(((x - a + iy) * fx, (b - a) * fx), axis=-1)
 
-    # Panel sums per gap between nodes, then int_t^b for every node t:
-    # T0 = int (x - a + i delta) f and T1 = int f, so p = T0 - (t - a) T1.
+    # int_t^b for every node t from one reverse cumulative sum over the panels:
+    # T0 = int (x - a + i delta) f and T1 = (b - a) int f, so
+    # p = T0 - (t - a)/(b - a) T1, both columns with weight at most 1.
     lo, _, val, _ = _refine(line, ts, atol, 1e-9, 4000 + ts.size)
-    gaps = np.add.reduceat(val, np.searchsorted(lo, ts[:-1]), axis=0)
-    tail = np.concatenate((np.cumsum(gaps[::-1], axis=0)[::-1], np.zeros((1, 2))))
-    p = tail[:, 0] - (ts - a) * tail[:, 1]
+    tail = np.concatenate((np.cumsum(val[::-1], axis=0)[::-1],
+                           np.zeros((1, 2))))[np.searchsorted(lo, ts)]
+    p = tail[:, 0] - (ts - a) / (b - a) * tail[:, 1]
     e = _corners(f, ts, delta, 1, sgn, atol)
     w_b = (ts - a) / (b - a)
     w_a = (b - ts) / (b - a)
@@ -268,22 +270,18 @@ def boundary_limit_order_m(f: AnalyticFunction, test: TestFunction, a: float,
     _require_simple(f, a, b, side, float(m) if m > 0 else 0.5,
                     "boundary_limit_order_m")
 
+    total = 0j
     cheb = None
-    ds = []
-    for k in range(m + 2):
+    line = lambda x: f(np.asarray(x, dtype=float) + sgn * 1j * delta)
+    for k in range(m + 1):
         dk, cheb = _test_derivative(test, k, a, b, cheb)
-        ds.append(dk)
-    iy = sgn * 1j * delta
+        term, _ = adaptive_quad(lambda x: np.asarray(dk(x), dtype=complex) * line(x),
+                                a, b, atol=atol)
+        total += (sgn * 1j * delta) ** k / math.factorial(k) * term
 
-    def taylor(x):
-        # sum_k (sgn i delta)^k / k! * test^(k)(x), times f on the line at height delta
-        x = np.asarray(x, dtype=float)
-        terms = sum(iy ** k / math.factorial(k) * np.asarray(ds[k](x), dtype=complex)
-                    for k in range(m + 1))
-        return terms * f(x + iy)
-
-    total, _ = adaptive_quad(taylor, a, b, atol=atol)
+    dtop, cheb = _test_derivative(test, m + 1, a, b, cheb)
     rem, _ = adaptive_quad(
-        lambda x: np.asarray(ds[m + 1](x), dtype=complex) * _corners(f, x, delta, m, sgn, atol),
+        lambda x: np.asarray(dtop(x), dtype=complex) * _corners(f, x, delta, m, sgn, atol),
         a, b, atol=atol * 10)
-    return complex(total + (sgn * 1j) ** (m + 1) / math.factorial(m) * rem)
+    total += (sgn * 1j) ** (m + 1) / math.factorial(m) * rem
+    return complex(total)

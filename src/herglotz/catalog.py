@@ -270,12 +270,8 @@ def cauchy_eval(measure: BoundaryMeasure, constant, z, *, atol: float = 1e-10):
         else:
             out += a.mass * (1.0 + a.loc * flat) / (a.loc - flat)
     x, y = flat.real, np.abs(flat.imag)
+    points = list(zip(x.tolist(), y.tolist()))
     peak_clear = _CLEARANCE * y
-    # Unsubtracted points integrate their peak directly, in a window in the
-    # s variable covering the peak (width |Im z|) and every flank scale the
-    # tail map cannot represent, which grows like eps * (1 + x^2).
-    w = np.maximum(50.0 * y, 1e-13 * (1.0 + x * x))
-    peak_lo, peak_hi, near = x - w, x + w, y < 5.0
 
     def kernel(s):
         return (1.0 + s[:, None] * flat[None, :]) / (s[:, None] - flat[None, :])
@@ -298,9 +294,13 @@ def cauchy_eval(measure: BoundaryMeasure, constant, z, *, atol: float = 1e-10):
             windows = list(zip((x - half)[sub].tolist(), (x + half)[sub].tolist()))
             rho = np.zeros(flat.shape, dtype=complex)
             rho[sub] = d(x[sub])
-        peak = near & ~sub & (peak_hi > lo) & (peak_lo < hi)
-        windows += zip(np.maximum(lo, peak_lo[peak]).tolist(),
-                       np.minimum(hi, peak_hi[peak]).tolist())
+        # Unsubtracted points integrate their peak directly, in a window in the
+        # s variable covering the peak (width |Im z|) and every flank scale the
+        # tail map cannot represent, which grows like eps * (1 + x^2).
+        for (xj, yj), subtracted in zip(points, sub.tolist()):
+            w = max(50.0 * yj, 1e-13 * (1.0 + xj * xj))
+            if not subtracted and yj < 5.0 and xj + w > lo and xj - w < hi:
+                windows.append((max(lo, xj - w), min(hi, xj + w)))
         out += _windowed_integral(d, kernel, windows, x, rho, window_integral,
                                   partial(quad_real_line, atol=atol),
                                   partial(adaptive_quad, atol=atol, min_panels=4))

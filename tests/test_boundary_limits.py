@@ -194,7 +194,8 @@ def _phi_per_node(f, a, b, delta, side, nodes=129, atol=1e-11):
 @pytest.mark.parametrize("fixture, a, b", [
     ("tan_fn", -5.0, 5.0), ("minus_inverse", -1.0, 1.0), ("sqrt_fn", -2.0, 1.0),
     ("minus_inverse", 1e4, 1e4 + 3.0), ("sqrt_fn", -100002.0, -100000.0),
-    ("tan_fn", 1000.3, 1001.0),
+    ("tan_fn", 1000.3, 1001.0), ("minus_inverse", -60.0, 40.0),
+    ("minus_inverse", 1e4, 1e4 + 5e-9),  # two Lobatto nodes round to one float
 ])
 def test_phi_profile_matches_per_node_reference(request, fixture, a, b, side):
     f = request.getfixturevalue(fixture)
