@@ -216,10 +216,10 @@ def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
     lo, _, val, _ = _refine(line, ts, atol, 1e-9, 4000 + ts.size)
     tail = np.concatenate((np.cumsum(val[::-1], axis=0)[::-1],
                            np.zeros((1, 2))))[np.searchsorted(lo, ts)]
-    p = tail[:, 0] - (ts - a) / (b - a) * tail[:, 1]
-    e = _corners(f, ts, delta, 1, sgn, atol)
     w_b = (ts - a) / (b - a)
     w_a = (b - ts) / (b - a)
+    p = tail[:, 0] - w_b * tail[:, 1]
+    e = _corners(f, ts, delta, 1, sgn, atol)
     phi = p - w_a * p[0] + w_b * e[-1] + w_a * e[0] - e
     return PhiProfile(float(a), float(b), float(delta), tuple(map(float, edges)),
                       tuple(ts.tolist()), tuple(phi.tolist()))
