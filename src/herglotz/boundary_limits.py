@@ -28,7 +28,7 @@ from .catalog import AnalyticFunction, _interior_kinks
 from .errors import NonSimpleBehaviorError, SpecError
 from .extraction import _side_sign, sup_abs_growth
 from .measures import TestFunction
-from .quadrature import _lobatto, _refine, adaptive_quad, quad_power_weighted_zero
+from .quadrature import _lobatto, _power_weighted_zero, _refine, adaptive_quad
 
 __all__ = [
     "normalized_antiderivative",
@@ -104,13 +104,12 @@ def _require_simple(f: AnalyticFunction, a: float, b: float, side: str,
 
 def _corners(f: AnalyticFunction, xs, delta: float, m: int, sgn: float,
              atol: float) -> np.ndarray:
-    """int_0^delta y^m f(x + sgn*i*y) dy for each x in xs, one point at a time."""
+    """int_0^delta y^m f(x + sgn*i*y) dy for each x in xs, every point's
+    integral refined to its own tolerance in one grouped quadrature."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    out = np.empty(xs.shape, dtype=complex)
-    for i, x in enumerate(xs):
-        out[i], _ = quad_power_weighted_zero(lambda y: f(x + sgn * 1j * y), delta, m,
-                                             atol=atol)
-    return out
+    val, _ = _power_weighted_zero(lambda y, r: f(xs[r] + sgn * 1j * y), delta, m,
+                                  xs.size, atol=atol, rtol=1e-9)
+    return val
 
 
 def boundary_functional(f: AnalyticFunction, h02: TestFunction, delta: float, *,

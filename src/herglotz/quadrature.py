@@ -64,20 +64,25 @@ def _lobatto(lo: float, hi: float, n: int) -> np.ndarray:
 _CALL_PANELS = 8
 
 
-def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
+def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rows=None):
     """Kronrod values and Gauss-Kronrod errors of the panels [lo[i], hi[i]].
 
-    The nodes of up to ``_CALL_PANELS`` panels go to f in one call.  Values
-    have shape (n_panels, ...) with the integrand's trailing axes; errors are
-    the largest component difference of each panel, shape (n_panels,).
+    The nodes of up to ``_CALL_PANELS`` panels go to f in one call, as f(x),
+    or as f(x, g) with g the row of each node when panel i belongs to row
+    ``rows[i]``.  Values have shape (n_panels, ...) with the integrand's
+    trailing axes; errors are the largest component difference of each panel,
+    shape (n_panels,).
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _XK
+    if rows is not None:
+        node_rows = np.broadcast_to(rows[:, None], nodes.shape)
     values, errors = [], []
     for s in range(0, lo.size, _CALL_PANELS):
         x = nodes[s:s + _CALL_PANELS]
-        vals = np.asarray(f(x.ravel()), dtype=complex)
+        g = () if rows is None else (node_rows[s:s + _CALL_PANELS].ravel(),)
+        vals = np.asarray(f(x.ravel(), *g), dtype=complex)
         cols = vals.reshape(x.shape + (-1,))  # (panels, 15, columns)
         scale = half[s:s + _CALL_PANELS, None]
         k15 = scale * (_WK @ cols)
@@ -87,13 +92,16 @@ def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
     return np.concatenate(values), np.concatenate(errors)
 
 
-def _bisect(f: Callable, lo: np.ndarray, hi: np.ndarray):
+def _bisect(f: Callable, lo: np.ndarray, hi: np.ndarray, rows=None):
     """Halves of the panels [lo[i], hi[i]], left then right for each panel,
-    as (lo, hi, values, errors)."""
+    as (lo, hi, values, errors), followed by their rows when given."""
     mid = 0.5 * (lo + hi)
     c_lo = np.column_stack((lo, mid)).ravel()
     c_hi = np.column_stack((mid, hi)).ravel()
-    return (c_lo, c_hi) + _panels(f, c_lo, c_hi)
+    if rows is None:
+        return (c_lo, c_hi) + _panels(f, c_lo, c_hi)
+    c_rows = np.repeat(rows, 2)
+    return (c_lo, c_hi) + _panels(f, c_lo, c_hi, c_rows) + (c_rows,)
 
 
 def _zero(f: Callable):
@@ -108,22 +116,30 @@ def _refine(f: Callable, edges: np.ndarray, atol: float, rtol: float,
     """Refine the panels between consecutive ``edges`` until the error sum
     meets tol = max(atol, rtol * max|value|), within ``max_panels`` panels.
 
-    Returns the final panels (lo, hi, values, errors) in interval order; panels
-    only ever split, so every initial edge stays a panel edge.
+    ``edges`` is one row of n+1 edges, integrand f(x), or a (G, n+1) array of
+    G independent rows, integrand f(x, g) with g the row of each node.  Each
+    row refines as a call of its own would: its own tolerance from its own
+    total, its own ``max_panels`` budget, its own stops.  Only the integrand
+    calls are shared.  Returns the final panels (lo, hi, values, errors) in
+    interval order, for rows preceded by the row of each panel and ordered by
+    row first; panels only ever split, so every initial edge stays a panel
+    edge.
 
-    Each generation sorts the live panels worst-first, ties in creation order,
-    and bisects the shortest prefix whose errors cover the excess over tol, no
-    more than ``max_panels`` allows.  A panel holding most of the prefix's
-    error is bisected alone first; if a half is still worse than the next
-    panel in line, the generation ends there, as a one-panel-at-a-time
+    Each generation sorts the live panels worst-first, ties in creation order
+    (a panel's position: kept panels keep their order and halves are
+    appended), and bisects the shortest prefix whose errors cover the excess
+    over tol, no more than ``max_panels`` allows.  A panel holding most of the
+    prefix's error is bisected alone first; if a half is still worse than the
+    next panel in line, the generation ends there, as a one-panel-at-a-time
     refinement would take that half next.  The integrand sees at most
     ``_CALL_PANELS`` panels per call.  A panel too narrow to bisect in floating
     point leaves refinement: its error leaves the running sum but stays in the
     returned errors.  A NaN error stops refinement.
     """
+    if edges.ndim == 2:
+        return _refine_rows(f, edges, atol, rtol, max_panels)
     lo, hi = edges[:-1], edges[1:]
     val, err = _panels(f, lo, hi)
-    seq = np.arange(lo.size)  # creation order, the tie break
     live = np.ones(lo.size, dtype=bool)  # False once at floating-point width
     while True:
         tol = max(atol, rtol * float(np.max(np.abs(val.sum(axis=0)))))
@@ -132,7 +148,7 @@ def _refine(f: Callable, edges: np.ndarray, atol: float, rtol: float,
         if not (total_err > tol and room > 0):
             break
         order = np.flatnonzero(live)
-        order = order[np.lexsort((seq[order], -err[order]))]
+        order = order[np.lexsort((-err[order],))]
         take = order[:np.searchsorted(np.cumsum(err[order]), total_err - tol) + 1]
         mid = 0.5 * (lo[take] + hi[take])
         ok = (lo[take] < mid) & (mid < hi[take])
@@ -151,13 +167,96 @@ def _refine(f: Callable, edges: np.ndarray, atol: float, rtol: float,
             split = split[:lead]
         keep = np.ones(lo.size, dtype=bool)
         keep[split] = False
-        new = kids[0].size
         lo, hi, val, err = (np.concatenate((old[keep], kid))
                             for old, kid in zip((lo, hi, val, err), kids))
-        live = np.concatenate((live[keep], np.ones(new, dtype=bool)))
-        seq = np.concatenate((seq[keep], seq.max() + 1 + np.arange(new)))
+        live = np.concatenate((live[keep], np.ones(kids[0].size, dtype=bool)))
     order = np.argsort(lo)
     return lo[order], hi[order], val[order], err[order]
+
+
+def _row_sums(x: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum of the entries of x in each row, in entry order."""
+    out = np.zeros((n_rows,) + x.shape[1:], dtype=x.dtype)
+    np.add.at(out, rows, x)
+    return out
+
+
+def _rank(rows: np.ndarray) -> np.ndarray:
+    """Position of each entry within its row, for entries sorted by row."""
+    return np.arange(rows.size) - np.searchsorted(rows, rows)
+
+
+def _refine_rows(f: Callable, edges: np.ndarray, atol: float, rtol: float,
+                 max_panels: int):
+    """``_refine`` on the G rows of ``edges``: the one-row generation, run on
+    every row still refining, with every row's halves evaluated together.
+
+    A single row keeps the loop of its own in ``_refine``: this bookkeeping
+    makes one-row calls 20-60 % slower.  Row totals here are summed in entry
+    order where the one-row loop sums pairwise, so a row decides as a call of
+    its own unless a total lands within rounding of a threshold.
+    """
+    n_rows = edges.shape[0]
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    row = np.repeat(np.arange(n_rows), edges.shape[1] - 1)
+    val, err = _panels(f, lo, hi, row)
+    live = np.ones(lo.size, dtype=bool)
+    while True:
+        peak = np.abs(_row_sums(val, row, n_rows)).reshape(n_rows, -1).max(axis=1)
+        excess = _row_sums(err[live], row[live], n_rows) - np.maximum(atol, rtol * peak)
+        room = max_panels - np.bincount(row, minlength=n_rows)
+        go = (excess > 0) & (room > 0)
+        if not go.any():
+            break
+        # Live panels of the rows still refining, by row, then worst first.
+        order = np.flatnonzero(live & go[row])
+        order = order[np.lexsort((-err[order], row[order]))]
+        r, rank = row[order], _rank(row[order])
+        # Each row's running error sum, exactly as one row's cumsum.
+        run = np.zeros((n_rows, rank.max() + 1))
+        run[r, rank] = err[order]
+        before = np.cumsum(run, axis=1)[r, rank - 1]
+        take = order[(rank == 0) | (before < excess[r])]
+        mid = 0.5 * (lo[take] + hi[take])
+        ok = (lo[take] < mid) & (mid < hi[take])
+        live[take[~ok]] = False
+        split = take[ok]
+        rs, rank = row[split], _rank(row[split])
+        fits = rank < room[rs]
+        split, rs, rank = split[fits], rs[fits], rank[fits]
+        if not split.size:
+            continue
+        e = err[split]
+        first = rank == 0
+        alone = np.zeros(n_rows, dtype=bool)
+        alone[rs[first]] = e[first] > _row_sums(e[~first], rs[~first], n_rows)[rs[first]]
+        head = first | ~alone[rs]
+        kids = _bisect(f, lo[split[head]], hi[split[head]], rs[head])
+        worst = np.zeros(n_rows)
+        worst[rs[head]] = kids[3].reshape(-1, 2).max(axis=1)
+        second = np.full(n_rows, -np.inf)
+        second[rs[rank == 1]] = e[rank == 1]
+        tail = ~head & (alone & (worst <= second))[rs]
+        if tail.any():
+            rest = _bisect(f, lo[split[tail]], hi[split[tail]], rs[tail])
+            kids = tuple(np.concatenate(p) for p in zip(kids, rest))
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split[head | tail]] = False
+        lo, hi, val, err, row = (np.concatenate((old[keep], kid))
+                                 for old, kid in zip((lo, hi, val, err, row), kids))
+        live = np.concatenate((live[keep], np.ones(kids[0].size, dtype=bool)))
+    order = np.lexsort((lo, row))
+    return row[order], lo[order], hi[order], val[order], err[order]
+
+
+def _row_totals(rows: np.ndarray, x: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum of x over each row's panels, for panels sorted by row, each row
+    summed in order exactly as ``np.cumsum(x_row, axis=0)[-1]``."""
+    counts = np.bincount(rows, minlength=n_rows)
+    rank = _rank(rows)
+    run = np.zeros((n_rows, counts.max()) + x.shape[1:], dtype=x.dtype)
+    run[rows, rank] = x
+    return np.cumsum(run, axis=1)[np.arange(n_rows), counts - 1]
 
 
 def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = 1e-10,
@@ -258,14 +357,26 @@ def quad_power_weighted_zero(g: Callable, delta: float, m: int = 1, *,
     The substitution y = delta*u^2 concentrates nodes at the lower endpoint,
     where g is bounded but need not be smooth.
     """
+    return _power_weighted_zero(g, delta, m, None, atol=atol, rtol=rtol)
+
+
+def _power_weighted_zero(g: Callable, delta: float, m: int, n_rows, *,
+                         atol: float, rtol: float):
+    """``quad_power_weighted_zero`` of g(y), or with ``n_rows`` rows of
+    g(y, r), r < n_rows, each refined to its own tolerance: then the values
+    (n_rows, ...) and errors (n_rows,) of the rows."""
     if delta <= 0:
         raise ValueError("delta must be positive")
 
-    def h(u):
+    def h(u, *rows):
         y = delta * u * u
-        vals = np.asarray(g(y), dtype=complex)
+        vals = np.asarray(g(y, *rows), dtype=complex)
         w = (y ** m) * (2.0 * delta * u)
         return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))
 
-    return adaptive_quad(h, 0.0, 1.0, atol=atol, rtol=rtol,
-                         max_panels=2000, min_panels=2)
+    if n_rows is None:
+        return adaptive_quad(h, 0.0, 1.0, atol=atol, rtol=rtol,
+                             max_panels=2000, min_panels=2)
+    edges = np.broadcast_to(np.linspace(0.0, 1.0, 3), (n_rows, 3))
+    rows, _, _, val, err = _refine(h, edges, atol, rtol, 2000)
+    return _row_totals(rows, val, n_rows), _row_totals(rows, err, n_rows)
