@@ -227,14 +227,17 @@ def _subtracted_integrand(d, kernel, rho=None):
     return integrand
 
 
-def _windowed_integral(d, kernel, windows, proj, rho, window_integral,
+def _windowed_integral(d, kernel, windows, proj, rho, window_integral, atol,
                        gap_quad, window_quad):
     """Integral of d(s) K(s, z_j) over the support of d, one entry per point.
 
     The merged windows run through ``window_quad`` and the gaps between them
-    through ``gap_quad``.  Points j whose projection proj_j lies in a window
-    and whose rho_j is nonzero are subtracted there: the quadrature sees
-    (d(s) - rho_j) K(s, z_j), and rho_j * window_integral(a, b, j) is added.
+    through ``gap_quad``, both to ``atol``.  Points j whose projection proj_j
+    lies in a window and whose rho_j is nonzero are subtracted there: the
+    quadrature sees (d(s) - rho_j) K(s, z_j), and rho_j * window_integral(a,
+    b, j) is added.  The remainder is smaller than the window's integral, so
+    its tolerance is relative to the added part: atol is raised to the
+    quadratures' default rtol (1e-9) of the largest added term.
     """
     lo, hi = d.support
     plain = _subtracted_integrand(d, kernel)
@@ -242,17 +245,20 @@ def _windowed_integral(d, kernel, windows, proj, rho, window_integral,
     cursor = lo
     for a, b in _merge_intervals(windows):
         if cursor < a:
-            part, _ = gap_quad(plain, cursor, a)
+            part, _ = gap_quad(plain, cursor, a, atol=atol)
             total = total + part
-        rho_w = None if rho is None else np.where((a <= proj) & (proj <= b), rho, 0.0)
-        part, _ = window_quad(_subtracted_integrand(d, kernel, rho_w), a, b)
-        total = total + part
-        if rho_w is not None:
+        rho_w, cols, added, tol = None, [], 0.0, atol
+        if rho is not None:
+            rho_w = np.where((a <= proj) & (proj <= b), rho, 0.0)
             cols = np.flatnonzero(rho_w)
-            total[cols] += rho_w[cols] * window_integral(a, b, cols)
+            added = rho_w[cols] * window_integral(a, b, cols)
+            tol = max(atol, 1e-9 * float(np.max(np.abs(added), initial=0.0)))
+        part, _ = window_quad(_subtracted_integrand(d, kernel, rho_w), a, b, atol=tol)
+        total = total + part
+        total[cols] += added
         cursor = b
     if cursor < hi:
-        part, _ = gap_quad(plain, cursor, hi)
+        part, _ = gap_quad(plain, cursor, hi, atol=atol)
         total = total + part
     return total
 
@@ -301,9 +307,8 @@ def cauchy_eval(measure: BoundaryMeasure, constant, z, *, atol: float = 1e-10):
             w = max(50.0 * yj, 1e-13 * (1.0 + xj * xj))
             if not subtracted and yj < 5.0 and xj + w > lo and xj - w < hi:
                 windows.append((max(lo, xj - w), min(hi, xj + w)))
-        out += _windowed_integral(d, kernel, windows, x, rho, window_integral,
-                                  partial(quad_real_line, atol=atol),
-                                  partial(adaptive_quad, atol=atol, min_panels=4))
+        out += _windowed_integral(d, kernel, windows, x, rho, window_integral, atol,
+                                  quad_real_line, partial(adaptive_quad, min_panels=4))
     out = out.reshape(np.atleast_1d(arr).shape)
     return complex(out.ravel()[0]) if scalar else out
 
@@ -356,9 +361,8 @@ def _disc_herglotz_eval(measure: BoundaryMeasure, constant, atol=1e-10):
             if sub.any():
                 rho = np.zeros(flat.shape, dtype=complex)
                 rho[sub] = d(theta[sub])
-            quad = partial(adaptive_quad, atol=atol)
             out += _windowed_integral(d, kernel, windows, theta, rho, window_integral,
-                                      quad, quad) / (2.0 * np.pi)
+                                      atol, adaptive_quad, adaptive_quad) / (2.0 * np.pi)
         return out.reshape(np.atleast_1d(z).shape)
     return fn
 
