@@ -13,6 +13,13 @@ shortest worst-first prefix of panels whose errors cover the excess over the
 tolerance, and the integrand gets at most eight panels (120 nodes) per call.
 Panels are summed in interval order, so results do not depend on refinement
 history.
+
+The private ``_refine`` also takes rows: G independent integrals, integrand
+f(x, g) with g the row of each node.  Every row keeps its own tolerance
+max(atol, rtol * |row total|), its own panel budget and its own stops, and
+refines as a call of its own would; only the integrand calls are shared, the
+halves of every row going to f together, still eight panels per call.  The
+corner integrals of the boundary limits run this way, one row per point.
 """
 from __future__ import annotations
 
@@ -191,10 +198,11 @@ def _refine_rows(f: Callable, edges: np.ndarray, atol: float, rtol: float,
     """``_refine`` on the G rows of ``edges``: the one-row generation, run on
     every row still refining, with every row's halves evaluated together.
 
-    A single row keeps the loop of its own in ``_refine``: this bookkeeping
-    makes one-row calls 20-60 % slower.  Row totals here are summed in entry
-    order where the one-row loop sums pairwise, so a row decides as a call of
-    its own unless a total lands within rounding of a threshold.
+    A single row keeps its own loop in ``_refine``, since this per-row
+    bookkeeping would slow single integrals by 20-60 %.  Row totals here are
+    summed in panel order where the one-row loop sums pairwise, so a row
+    decides as a call of its own unless a total lands within rounding of a
+    threshold; the running sum that picks the prefix is exact.
     """
     n_rows = edges.shape[0]
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()

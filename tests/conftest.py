@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from herglotz import AnalyticFunction, CatalogSpec, catalog_build
+from herglotz import AnalyticFunction, CatalogSpec, catalog_build, quadrature
 
 # Reproducible property tests: the same examples every run, no example database.
 settings.register_profile("herglotz", deadline=None, database=None, derandomize=True)
@@ -35,3 +35,24 @@ def identity_fn():
 def const_i():
     return AnalyticFunction(
         lambda z: np.full(np.asarray(z, dtype=complex).shape, 1j), "half-plane")
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Panels evaluated through ``quadrature._panels``, their spans and the node
+    count of every integrand call, while the test runs."""
+    seen = {"panels": 0, "calls": [], "spans": []}
+    panels = quadrature._panels
+
+    def counted(f, lo, hi, rows=None):
+        seen["panels"] += np.size(lo)
+        seen["spans"].extend(zip(lo, hi))
+
+        def g(x, *node_rows):
+            seen["calls"].append(np.size(x))
+            return f(x, *node_rows)
+
+        return panels(g, lo, hi, rows)
+
+    monkeypatch.setattr(quadrature, "_panels", counted)
+    return seen

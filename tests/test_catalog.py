@@ -364,27 +364,14 @@ def _power_measure(p):
     return BoundaryMeasure((), (dens,)), complex(np.cos(np.pi * p / 2))
 
 
-@pytest.fixture
-def panel_count(monkeypatch):
-    """Counts Gauss-Kronrod panels evaluated while the test runs."""
-    count = [0]
-    panels = quadrature._panels
-
-    def counted(f, lo, hi):
-        count[0] += np.size(lo)
-        return panels(f, lo, hi)
-
-    monkeypatch.setattr(quadrature, "_panels", counted)
-    return count
-
-
-def _panels(count, fn):
-    count[0] = 0
+def _panels(evaluated, fn):
+    """fn() and the panels it evaluated."""
+    evaluated["panels"] = 0
     value = fn()
-    return value, count[0]
+    return value, evaluated["panels"]
 
 
-def test_cauchy_eval_power_density_near_boundary(panel_count):
+def test_cauchy_eval_power_density_near_boundary(evaluated):
     # z**p as the Cauchy transform of its boundary density, from Im z = 1 down
     # to 1e-12 on either side, out to |x| = 1e6 and next to the singular
     # endpoint 0; the cost at 1e-12 stays within 10x of the cost at 1.
@@ -394,13 +381,13 @@ def test_cauchy_eval_power_density_near_boundary(panel_count):
             panels = {}
             for y in (1.0, 1e-4, 1e-9, 1e-12, -1e-12):
                 z = complex(x, y)
-                value, panels[y] = _panels(panel_count, lambda: cauchy_eval(m, c, z))
+                value, panels[y] = _panels(evaluated, lambda: cauchy_eval(m, c, z))
                 ref = np.power(z, complex(p))
                 assert abs(value - ref) <= 1e-8 * (1.0 + abs(ref)), (p, z)
             assert max(panels[1e-12], panels[-1e-12]) <= 10 * panels[1.0], (p, x)
 
 
-def test_cauchy_eval_deep_cost_and_error_budget(panel_count, monkeypatch):
+def test_cauchy_eval_deep_cost_and_error_budget(evaluated, monkeypatch):
     # Panel counts close to the axis stay within 10x of the count at Im z = 1,
     # and every quadrature inside meets its own tolerance.
     adaptive_quad = quadrature.adaptive_quad
@@ -419,9 +406,9 @@ def test_cauchy_eval_deep_cost_and_error_budget(panel_count, monkeypatch):
     monkeypatch.setattr(quadrature, "adaptive_quad", checked)
     monkeypatch.setattr(catalog, "adaptive_quad", checked)
     m, c = _power_measure(0.5)
-    _, base = _panels(panel_count, lambda: cauchy_eval(m, c, -1.0 + 1j))
+    _, base = _panels(evaluated, lambda: cauchy_eval(m, c, -1.0 + 1j))
     for z in (-1.0 + 1e-12j, -1000.0 + 1e-9j):
-        _, deep = _panels(panel_count, lambda: cauchy_eval(m, c, z))
+        _, deep = _panels(evaluated, lambda: cauchy_eval(m, c, z))
         assert deep <= 10 * base, (z, deep, base)
     assert met and all(met)
 

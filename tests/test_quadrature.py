@@ -90,27 +90,6 @@ def test_orientation():
 # The generational kernel: panel counts, call sizes, budgets and stops
 
 
-@pytest.fixture
-def evaluated(monkeypatch):
-    """Panels evaluated through ``_panels`` and the node count of every
-    integrand call, while the test runs."""
-    seen = {"panels": 0, "calls": [], "spans": []}
-    panels = quadrature._panels
-
-    def counted(f, lo, hi):
-        seen["panels"] += np.size(lo)
-        seen["spans"].extend(zip(lo, hi))
-
-        def g(x):
-            seen["calls"].append(np.size(x))
-            return f(x)
-
-        return panels(g, lo, hi)
-
-    monkeypatch.setattr(quadrature, "_panels", counted)
-    return seen
-
-
 _LORENTZ_C = np.array([-0.5, 0.1, 0.6])
 _LORENTZ_Y = np.array([1e-2, 1e-3, 1e-4])
 
@@ -183,15 +162,82 @@ def test_nan_error_stops_refinement(evaluated):
     assert evaluated["panels"] <= 99
 
 
-def test_refine_tiles_and_keeps_initial_edges():
-    edges = np.array([-1.0, -0.3, 0.2999, 0.3, 0.31, 1.0])
-    lo, hi, val, err = quadrature._refine(lambda x: 1.0 / (x - 0.3 - 1e-6j), edges,
-                                          1e-10, 1e-9, 4000)
+def _check_tiling(edges, lo, hi, val, err):
     assert lo.size > edges.size  # refinement happened
     assert lo[0] == edges[0] and hi[-1] == edges[-1]
     assert np.array_equal(lo[1:], hi[:-1]) and np.all(lo < hi)
     assert np.all(np.isin(edges[:-1], lo))
     assert val.shape == err.shape == lo.shape
+
+
+def test_refine_tiles_and_keeps_initial_edges():
+    edges = np.array([-1.0, -0.3, 0.2999, 0.3, 0.31, 1.0])
+    pole = lambda x: 1.0 / (x - 0.3 - 1e-6j)
+    _check_tiling(edges, *quadrature._refine(pole, edges, 1e-10, 1e-9, 4000))
+    # Rows come back ordered by row, each tiling its own edges.
+    grid = np.stack((edges, 2.0 * edges + 0.6))
+    rows, *panels = quadrature._refine(lambda x, g: pole(x), grid, 1e-10, 1e-9, 4000)
+    assert np.all(np.diff(rows) >= 0)
+    for i, row_edges in enumerate(grid):
+        _check_tiling(row_edges, *(p[rows == i] for p in panels))
+
+
+# ---------------------------------------------------------------------------
+# Grouped refinement: each row refines as a call of its own
+
+
+def _row_integrand(kind, p, q):
+    if kind == "pole":
+        return lambda x: 1.0 / (x - p - 1j * 10.0 ** q)
+    if kind == "sqrt":
+        return lambda x: np.sqrt(np.abs(x - p)).astype(complex)
+    return lambda x: np.exp(30j * p * x)
+
+
+_ROW = st.tuples(st.sampled_from(["pole", "sqrt", "wave"]), st.floats(-1.0, 1.0),
+                 st.floats(-9.0, 0.0))
+_SPAN = st.tuples(st.floats(-3.0, 1.0), st.floats(0.1, 3.0))
+_BIG = 2.0 ** 40
+# Rows of fixed fate, under a budget of 200 panels: x^-0.9 runs out of it, a
+# node lands on the pole of 1/|x - 0.2| (the NaN stop), and bisection reaches
+# panels at floating-point width near 2^40 (frozen panels).
+_FIXED_ROWS = [
+    (_c(lambda x: x ** -0.9), 0.0, 1.0),
+    (_c(lambda x: 1.0 / np.abs(x - 0.2)), -1.0, 1.0),
+    (_c(lambda x: np.abs((x - _BIG) - 1.0 / 3.0) ** -0.5), _BIG, _BIG + 1.0),
+]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=25)
+@given(st.lists(st.tuples(_ROW, _SPAN), max_size=6), st.booleans())
+def test_rows_refine_as_calls_of_their_own(drawn, two_columns):
+    fns = [fn for fn, _, _ in _FIXED_ROWS] + [_row_integrand(*row) for row, _ in drawn]
+    if two_columns:
+        fns = [lambda x, fn=fn: np.column_stack((fn(x), x * fn(x))) for fn in fns]
+    spans = [(a, b) for _, a, b in _FIXED_ROWS] + [(a, a + w) for _, (a, w) in drawn]
+    edges = np.array([np.linspace(a, b, 3) for a, b in spans])
+
+    def grouped(x, g):
+        out = np.empty((x.size, 2) if two_columns else x.size, dtype=complex)
+        for i, fn in enumerate(fns):
+            out[g == i] = fn(x[g == i])
+        return out
+
+    with np.errstate(all="ignore"):
+        rows, *panels = quadrature._refine(grouped, edges, 1e-10, 1e-9, 200)
+        for i, fn in enumerate(fns):
+            alone = quadrature._refine(fn, edges[i], 1e-10, 1e-9, 200)
+            for got, want in zip(panels, alone):
+                assert np.array_equal(_bits(got[rows == i]), _bits(want))
+    lo, hi, _, err = panels
+    assert np.sum(rows == 0) == 200
+    assert np.isnan(err[rows == 1]).any()
+    mid = 0.5 * (lo + hi)
+    assert not np.all(((lo < mid) & (mid < hi))[rows == 2])
 
 
 def _closed_form(coeffs, k, a, b):
