@@ -219,7 +219,8 @@ def _refine_rows(f: Callable, edges: np.ndarray, atol: float, rtol: float,
         # Live panels of the rows still refining, by row, then worst first.
         order = np.flatnonzero(live & go[row])
         order = order[np.lexsort((-err[order], row[order]))]
-        r, rank = row[order], _rank(row[order])
+        r = row[order]
+        rank = _rank(r)
         # Each row's running error sum, exactly as one row's cumsum.
         run = np.zeros((n_rows, rank.max() + 1))
         run[r, rank] = err[order]
@@ -229,7 +230,8 @@ def _refine_rows(f: Callable, edges: np.ndarray, atol: float, rtol: float,
         ok = (lo[take] < mid) & (mid < hi[take])
         live[take[~ok]] = False
         split = take[ok]
-        rs, rank = row[split], _rank(row[split])
+        rs = row[split]
+        rank = _rank(rs)
         fits = rank < room[rs]
         split, rs, rank = split[fits], rs[fits], rank[fits]
         if not split.size:
