@@ -125,12 +125,12 @@ def _refine(f: Callable, edges: np.ndarray, atol: float, rtol: float,
 
     ``edges`` is one row of n+1 edges, integrand f(x), or a (G, n+1) array of
     G independent rows, integrand f(x, g) with g the row of each node.  Each
-    row refines as a call of its own would: its own tolerance from its own
-    total, its own ``max_panels`` budget, its own stops.  Only the integrand
-    calls are shared.  Returns the final panels (lo, hi, values, errors) in
-    interval order, for rows preceded by the row of each panel and ordered by
-    row first; panels only ever split, so every initial edge stays a panel
-    edge.
+    row refines as a call of its own would, up to the rounding of its totals:
+    its own tolerance, its own ``max_panels`` budget, its own stops.  Only the
+    integrand calls are shared.  Returns the final panels (lo, hi, values,
+    errors) in interval order, for rows preceded by the row of each panel and
+    ordered by row first; panels only ever split, so every initial edge stays
+    a panel edge.
 
     Each generation sorts the live panels worst-first, ties in creation order
     (a panel's position: kept panels keep their order and halves are
