@@ -76,6 +76,21 @@ class AnalyticFunction:
         return complex(out.ravel()[0]) if scalar else out
 
 
+def _with_reflection(f: AnalyticFunction, z):
+    """(f(z), f(z*)) from one call of f, z* the mirror image of z across the
+    boundary: conj(z) on the half plane, 1/conj(z) on the disc.
+
+    An evaluator that integrates a measure refines one joint quadrature over
+    the points of a call, and a point and its mirror image need the same
+    panels, so the pair costs one refinement instead of two.  A pointwise
+    evaluator gives the values of two separate calls bit for bit.
+    """
+    z = np.asarray(z, dtype=complex)
+    mirror = np.conj(z) if f.picture == "half-plane" else 1.0 / np.conj(z)
+    both = f(np.concatenate([z.ravel(), mirror.ravel()]))
+    return both[:z.size].reshape(z.shape), both[z.size:].reshape(z.shape)
+
+
 def principal_log(z):
     """Principal branch of the logarithm; domain error on (-inf, 0], 0 and infinity."""
     arr, scalar = _as_complex_array(z)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import _INVERSION, AnalyticFunction, invert_variable
+from .catalog import _INVERSION, AnalyticFunction, _with_reflection, invert_variable
 from .errors import SpecError
 from .extrapolation import ExtrapolatedLimit, LimitSchedule
 from .measures import TestFunction, _image_pieces
@@ -71,18 +71,29 @@ def to_disc(f: AnalyticFunction) -> AnalyticFunction:
 
 def circle_measure_functional(phi: AnalyticFunction, r: float,
                               test: TestFunction, *, atol: float = 1e-11) -> complex:
-    """Pair the circle measure at radius r with an angle test function."""
+    """Pair the circle measure at radius r with an angle test function.
+
+    The measure's density is (phi(r e^{it}) - phi(e^{it}/r)) / 2, and each
+    quadrature node evaluates phi at the pair of mirror points in one call
+    (``_with_reflection``), so a measure evaluator refines once for both.
+    The integrand is 2 pi-periodic in t, so a test support no longer than a
+    period is integrated where it lies, even across +-pi; a wider one is
+    integrated over [-pi, pi].
+    """
     if not 0.0 < r < 1.0:
         raise SpecError("require 0 < r < 1")
+    if phi.picture != "disc":
+        raise SpecError("circle_measure_functional expects a disc function")
 
     def integrand(t):
         t = np.asarray(t, dtype=float)
-        inner = phi(r * np.exp(1j * t))
-        outer = phi(np.exp(1j * t) / r)
+        inner, outer = _with_reflection(phi, r * np.exp(1j * t))
         return test(t) * 0.5 * (inner - outer)
 
     lo, hi = test.support
-    val, _ = adaptive_quad(integrand, max(lo, -math.pi), min(hi, math.pi), atol=atol)
+    if hi - lo > 2.0 * math.pi:
+        lo, hi = -math.pi, math.pi
+    val, _ = adaptive_quad(integrand, lo, hi, atol=atol)
     return complex(val)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import _INVERSION, AnalyticFunction, invert_variable
+from .catalog import _INVERSION, AnalyticFunction, _with_reflection, invert_variable
 from .errors import NonSimpleBehaviorError, SpecError
 from .extrapolation import (ExtrapolatedLimit, LimitSchedule, best_limit, diverged,
                             limit_from_samples)
@@ -43,8 +43,10 @@ _INFINITY_SCHEDULE = LimitSchedule(y0=0.25, ratio=0.5, steps=14)
 
 
 def _plus_minus_difference(f: AnalyticFunction, x, y: float):
-    x = np.asarray(x, dtype=float)
-    return f(x + 1j * y) - f(x - 1j * y)
+    """f(x + iy) - f(x - iy), both sides in one call (``_with_reflection``),
+    so a measure evaluator refines one quadrature for the pair."""
+    upper, lower = _with_reflection(f, np.asarray(x, dtype=float) + 1j * y)
+    return upper - lower
 
 
 def extract_functional(f: AnalyticFunction, test: TestFunction,
@@ -68,7 +70,12 @@ def extract_functional(f: AnalyticFunction, test: TestFunction,
 
 
 def _density_samples(f: AnalyticFunction, xs: np.ndarray, ys: np.ndarray):
-    """(f(x+iy) - f(x-iy)) / (2 pi i (1+x^2)) with heights down axis 0."""
+    """(f(x+iy) - f(x-iy)) / (2 pi i (1+x^2)) with heights down axis 0.
+
+    The two sides stay two calls: these grids reach 12 x 100 000 points on
+    closed-form functions, where one joint call saves no work and its joined
+    copies raise peak memory.
+    """
     Z = xs[None, :] + 1j * ys[:, None]
     diff = f(Z) - f(np.conj(Z))
     return diff / (2j * np.pi * (1.0 + xs * xs)[None, :])
@@ -171,6 +178,8 @@ class SimpleScanReport:
 
 
 def _scan_part(f: AnalyticFunction, lo: float, hi: float, ys, nx: int):
+    # Two calls, as in _density_samples: on a grid of a closed-form function
+    # one joint call saves no work and its joined copies raise peak memory.
     xs = np.linspace(lo, hi, nx)
     Z = xs[None, :] + 1j * ys[:, None]
     q_up = Z.imag / (1.0 + np.abs(Z) ** 2) * np.abs(f(Z))

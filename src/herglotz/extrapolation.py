@@ -88,10 +88,12 @@ def neville_zero_limit(xs: Sequence[float], fs, order: int = 8):
 
     fs may be one-dimensional or of shape (len(xs), ...): trailing axes are
     extrapolated in a single vectorized tableau.  Returns (value, error) with
-    error the difference of the last two tableau diagonal entries.
+    error the difference of the last two tableau diagonal entries.  Those
+    two entries read only the last order + 2 samples, so the tableau is built
+    on those alone.
     """
-    xs = np.asarray(xs, dtype=float)
-    fs = np.asarray(fs, dtype=complex)
+    xs = np.asarray(xs, dtype=float)[-(order + 2):]
+    fs = np.asarray(fs, dtype=complex)[-(order + 2):]
     n = len(xs)
     if n < 2:
         return fs[0], np.full(fs.shape[1:], np.inf, dtype=float)
@@ -125,8 +127,10 @@ def aitken_limit(values, passes: int = 2):
     Handles geometrically convergent tails of unknown ratio (fractional-power
     boundary rates on geometric height schedules), which defeat polynomial
     extrapolation.  Works along axis 0; returns (value, error_estimate).
+    Each pass shortens the sequence by two, so the last two entries read only
+    the last 2 passes + 2 values, and only those are accelerated.
     """
-    v = np.asarray(values, dtype=complex)
+    v = np.asarray(values, dtype=complex)[-(2 * passes + 2):]
     for _ in range(passes):
         if v.shape[0] < 3:
             break

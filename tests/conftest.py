@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from herglotz import AnalyticFunction, CatalogSpec, catalog_build, quadrature
+from herglotz import AnalyticFunction, CatalogSpec, catalog_build, measures, quadrature
 
 # Reproducible property tests: the same examples every run, no example database.
 settings.register_profile("herglotz", deadline=None, database=None, derandomize=True)
@@ -55,4 +55,18 @@ def evaluated(monkeypatch):
         return panels(g, lo, hi, rows)
 
     monkeypatch.setattr(quadrature, "_panels", counted)
+    return seen
+
+
+@pytest.fixture
+def density_points(monkeypatch):
+    """Points handed to ``DensityPart.__call__`` while the test runs."""
+    seen = {"points": 0}
+    call = measures.DensityPart.__call__
+
+    def counted(self, x):
+        seen["points"] += np.size(x)
+        return call(self, x)
+
+    monkeypatch.setattr(measures.DensityPart, "__call__", counted)
     return seen

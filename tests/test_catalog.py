@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from herglotz import (Atom, BoundaryMeasure, CatalogSpec, MobiusMatrix, catalog_build,
                       cauchy_eval, cauchy_kernel, conjugate, invert_variable,
                       mobius_apply, principal_log, principal_power, pushforward_mobius,
-                      star_reflect, table_density)
+                      star_reflect, table_density, to_disc)
 from herglotz import catalog, quadrature
 from herglotz.catalog import compose_mobius
 from herglotz.errors import DomainError, SpecError
@@ -413,12 +413,16 @@ def test_cauchy_eval_deep_cost_and_error_budget(evaluated, monkeypatch):
     assert met and all(met)
 
 
+def _disc_cosine(c):
+    cosine = DensityPart((-np.pi, np.pi), lambda t: np.cos(t).astype(complex))
+    return catalog_build(CatalogSpec("disc_herglotz", {
+        "measure": BoundaryMeasure((), (cosine,), "circle"), "constant": c}))
+
+
 def test_disc_herglotz_near_circle():
     mpmath = pytest.importorskip("mpmath")
     c = 0.1j
-    cosine = DensityPart((-np.pi, np.pi), lambda t: np.cos(t).astype(complex))
-    full = catalog_build(CatalogSpec("disc_herglotz", {
-        "measure": BoundaryMeasure((), (cosine,), "circle"), "constant": c}))
+    full = _disc_cosine(c)
 
     def on_arc(lo, hi):
         dens = DensityPart((lo, hi), lambda t: (1 + 0.5j) * np.exp(t))
@@ -452,3 +456,44 @@ def test_disc_herglotz_near_circle():
     zs = (1.0 - 1e-6) * np.exp(1j * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
     want = np.array([arc_oracle(z, -3.0, 3.0) for z in zs])
     assert np.all(np.abs(on_arc(-3.0, 3.0)(zs) - want) <= 1e-8 * (1.0 + np.abs(want)))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=complex).view(np.uint64)
+
+
+def test_with_reflection_pointwise_is_bit_equal(tan_fn, minus_inverse):
+    rng = np.random.default_rng(14)
+    upper = rng.uniform(-3, 3, (3, 5)) + 1j * 10.0 ** rng.uniform(-9, 1, (3, 5))
+    inside = rng.uniform(0.1, 1.0 - 1e-9, 7) * np.exp(1j * rng.uniform(-np.pi, np.pi, 7))
+    power = catalog_build(CatalogSpec("power", {"p": 0.3 + 0.2j}))
+    for f, z in ((tan_fn, upper), (power, upper), (minus_inverse, upper),
+                 (compose_mobius(tan_fn, MobiusMatrix(2.0, -1.0, 1.0, 3.0)), upper),
+                 (star_reflect(power), upper), (to_disc(tan_fn), inside),
+                 (star_reflect(to_disc(power)), inside)):
+        mirror = np.conj(z) if f.picture == "half-plane" else 1.0 / np.conj(z)
+        got, got_mirror = catalog._with_reflection(f, z)
+        assert np.array_equal(_bits(got), _bits(f(z))), f.descriptor
+        assert np.array_equal(_bits(got_mirror), _bits(f(mirror))), f.descriptor
+
+
+def test_with_reflection_refines_measure_evaluators_once(density_points):
+    # A table density plus an atom at Im z = 1e-2 above the line, and the disc
+    # cosine a hundredth inside the circle: one call for both sides agrees
+    # with two calls and hands the densities about half the points.
+    xs = np.linspace(-3.0, -0.5, 65)
+    table = table_density(xs, np.sqrt(-xs) / (np.pi * (1.0 + xs * xs)))
+    line = catalog_build(CatalogSpec("cauchy", {
+        "measure": BoundaryMeasure((Atom(0.0, 0.5),), (table,)), "constant": 0.0}))
+    cases = ((line, np.linspace(-4.0, 1.0, 21) + 1e-2j, np.conj),
+             (_disc_cosine(0.2j), 0.99 * np.exp(1j * np.linspace(-3.0, 3.0, 13)),
+              lambda z: 1.0 / np.conj(z)))
+    for f, z, mirror in cases:
+        density_points["points"] = 0
+        want = f(z), f(mirror(z))
+        separate = density_points["points"]
+        density_points["points"] = 0
+        got = catalog._with_reflection(f, z)
+        assert density_points["points"] <= 0.55 * separate, f.descriptor["kind"]
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= 1e-12 * np.abs(w)), f.descriptor["kind"]

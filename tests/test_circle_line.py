@@ -38,12 +38,17 @@ def test_circle_limit_recovers_atom():
     assert abs(got.value - expect) <= 1e-6 * abs(expect)
 
 
-def test_circle_limit_recovers_density():
+def _disc_cosine(c):
+    # phi(z) = c + z inside the circle: the transform of the density cos t.
     dens = DensityPart((-np.pi, np.pi),
                        lambda t: np.cos(np.asarray(t, dtype=float)).astype(complex))
-    phi = catalog_build(CatalogSpec("disc_herglotz",
-                                    {"measure": BoundaryMeasure((), (dens,), "circle"),
-                                     "constant": 0.1j}))
+    return catalog_build(CatalogSpec("disc_herglotz",
+                                     {"measure": BoundaryMeasure((), (dens,), "circle"),
+                                      "constant": c}))
+
+
+def test_circle_limit_recovers_density():
+    phi = _disc_cosine(0.1j)
     test = smooth_bump(-2.0, 2.0)
     got = circle_limit(phi, test)
     re, _ = quad(lambda t: (test(np.array([t]))[0] * np.cos(t)).real, -2.0, 2.0,
@@ -62,6 +67,19 @@ def test_full_period_circle_pairing():
     got = circle_limit(phi, cos_t)
     assert got.converged
     assert abs(got.value - 2 * np.pi) <= 1e-10
+
+
+def test_circle_functional_test_across_pi():
+    # The disc cosine's circle measure at radius r has density r cos t, so a
+    # bump on (2.5, 4.0), across the ends of (-pi, pi], pairs to r int bump cos
+    # whole; so does its shift by one period.
+    phi = _disc_cosine(0.2j)
+    r, lo, hi = 0.9, 2.5, 4.0
+    ref, _ = quad(lambda t: (smooth_bump(lo, hi)(np.array([t]))[0] * np.cos(t)).real,
+                  lo, hi, epsabs=1e-13, limit=200)
+    for shift in (0.0, -2.0 * np.pi):
+        got = circle_measure_functional(phi, r, smooth_bump(lo + shift, hi + shift))
+        assert abs(got - r * ref) <= 1e-9, shift
 
 
 def test_circle_functional_linearity():
@@ -95,6 +113,12 @@ def test_circle_measure_functional_rejects_radius():
     phi = _herglotz_atom_at_angle_zero()
     with pytest.raises(SpecError):
         circle_measure_functional(phi, 1.5, smooth_bump(-1.0, 1.0))
+
+
+def test_circle_measure_functional_rejects_half_plane(tan_fn):
+    # The mirror image of r e^{it} is e^{it}/r only in the disc picture.
+    with pytest.raises(SpecError):
+        circle_measure_functional(tan_fn, 0.9, smooth_bump(-1.0, 1.0))
 
 
 def test_radius_schedule():

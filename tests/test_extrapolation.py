@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from herglotz import LimitSchedule
 from herglotz.errors import SpecError
@@ -80,3 +81,63 @@ def test_aitken_geometric_tail():
     assert abs(val - 2.0) < 1e-10
     best, berr = best_limit(us, vals)
     assert abs(best - 2.0) < 1e-10
+
+
+def _full_neville(xs, fs, order):
+    # The whole tableau, every sample read: the reference for the sliced one.
+    xs = np.asarray(xs, dtype=float)
+    fs = np.asarray(fs, dtype=complex)
+    n = len(xs)
+    if n < 2:
+        return fs[0], np.full(fs.shape[1:], np.inf, dtype=float)
+    rows, prev = [fs[0]], [fs[0]]
+    for i in range(1, n):
+        cur = [fs[i]]
+        for j in range(1, min(i, order) + 1):
+            num = xs[i] * prev[j - 1] - xs[i - j] * cur[j - 1]
+            cur.append(num / (xs[i] - xs[i - j]))
+        rows.append(cur[-1])
+        prev = cur
+    return rows[-1], np.abs(rows[-1] - rows[-2])
+
+
+def _full_aitken(values, passes):
+    v = np.asarray(values, dtype=complex)
+    for _ in range(passes):
+        if v.shape[0] < 3:
+            break
+        d1 = v[1:] - v[:-1]
+        d2 = d1[1:] - d1[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corr = np.where(d2 != 0, d1[1:] ** 2 / np.where(d2 != 0, d2, 1.0), 0.0)
+        v = v[2:] - corr
+    if v.shape[0] >= 2:
+        return v[-1], np.abs(v[-1] - v[-2])
+    return v[-1], np.full(v.shape[1:], np.inf, dtype=float)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
+
+
+_SPECIAL = st.sampled_from([0.0, np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=300)
+@given(n=st.integers(1, 16), order=st.integers(1, 10), passes=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1), special=st.lists(_SPECIAL, max_size=3))
+def test_sliced_tableaux_are_bit_equal(n, order, passes, seed, special):
+    # Random columns, plus one per special value, which fills its tail.
+    rng = np.random.default_rng(seed)
+    xs = 0.5 * 0.5 ** np.arange(n)
+    fs = rng.normal(size=(n, 2 + len(special))) + 1j * rng.normal(size=(n, 2 + len(special)))
+    fs[:, 1] = 3.0 + xs ** 0.5
+    for k, v in enumerate(special):
+        fs[rng.integers(n):, 2 + k] = v
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = neville_zero_limit(xs, fs, order=order), _full_neville(xs, fs, order)
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+        got, want = aitken_limit(fs, passes=passes), _full_aitken(fs, passes)
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
