@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, SpecError
 from .measures import (BoundaryMeasure, measure_from_json, measure_to_json,
                        INF, _image_pieces, _image_point)
-from .quadrature import adaptive_quad, quad_real_line
+from .quadrature import _refine, _row_totals, adaptive_quad, quad_real_line
 from .sphere import MobiusMatrix
 
 __all__ = [
@@ -242,40 +242,86 @@ def _subtracted_integrand(d, kernel, rho=None):
     return integrand
 
 
-def _windowed_integral(d, kernel, windows, proj, rho, window_integral, atol,
-                       gap_quad, window_quad):
-    """Integral of d(s) K(s, z_j) over the support of d, one entry per point.
+def _windowed_integrals(parts, kernel, atol, window_quad):
+    """Integral of d(s) K(s, z_j) over the support of d, one array over the
+    points j for each entry (d, windows, proj, rho, window_integral) of
+    ``parts``.
 
-    The merged windows run through ``window_quad`` and the gaps between them
-    through ``gap_quad``, both to ``atol``.  Points j whose projection proj_j
-    lies in a window and whose rho_j is nonzero are subtracted there: the
-    quadrature sees (d(s) - rho_j) K(s, z_j), and rho_j * window_integral(a,
-    b, j) is added.  The remainder is smaller than the window's integral, so
-    its tolerance is relative to the added part: atol is raised to the
-    quadratures' default rtol (1e-9) of the largest added term.
+    The merged windows of each density run through ``window_quad`` and the
+    gaps between them through ``quad_real_line``, all to ``atol``.  Points j
+    whose projection proj_j lies in a window and whose rho_j is nonzero are
+    subtracted there: the quadrature sees (d(s) - rho_j) K(s, z_j), and
+    rho_j * window_integral(a, b, j) is added.  The remainder is smaller than
+    the window's integral, so its tolerance is relative to the added part:
+    atol is raised to the quadratures' default rtol (1e-9) of the largest
+    added term.
+
+    The finite gaps no wider than 200, which ``quad_real_line`` passes on to
+    ``adaptive_quad``, are the rows of one ``_refine`` call across all
+    densities, each row refined as a call of its own; an integrand call
+    evaluates each of its densities once.  Only gaps are grouped: a gap holds
+    no point's peak and settles in a few panels, so sharing the calls saves
+    the per-gap overhead, while windows hold the peaks and refine deeply,
+    where the one-row loop is faster.  Windows, a lone gap, and infinite or
+    wider gaps keep a call each.  Each density adds its pieces left to right.
     """
-    lo, hi = d.support
-    plain = _subtracted_integrand(d, kernel)
-    total = np.zeros(proj.shape, dtype=complex)
-    cursor = lo
-    for a, b in _merge_intervals(windows):
-        if cursor < a:
-            part, _ = gap_quad(plain, cursor, a, atol=atol)
+    plans, gaps = [], []
+    for k, (d, windows, *_) in enumerate(parts):
+        lo, hi = d.support
+        plan, cursor = [], lo
+        for a, b in _merge_intervals(windows) + [(hi, hi)]:
+            if cursor < a:
+                plan.append((cursor, a, len(gaps)))
+                gaps.append((k, cursor, a))
+            if a < b:
+                plan.append((a, b, None))
+            cursor = b
+        plans.append(plan)
+
+    # b - a is infinite where an end is.
+    rows = [i for i, (_, a, b) in enumerate(gaps) if b - a <= 200.0]
+    if len(rows) < 2:
+        rows = []
+    gap_parts, grouped = [None] * len(gaps), set(rows)
+    for i, (k, a, b) in enumerate(gaps):
+        if i not in grouped:
+            gap_parts[i], _ = quad_real_line(_subtracted_integrand(parts[k][0], kernel),
+                                             a, b, atol=atol)
+    if rows:
+        owner = np.array([gaps[i][0] for i in rows])
+
+        def integrand(s, g):
+            dens = np.empty(s.shape, dtype=complex)
+            k = owner[g]
+            for j in sorted(set(k.tolist())):  # np.unique would import numpy.ma
+                at = k == j
+                dens[at] = parts[j][0](s[at])
+            return dens[:, None] * kernel(s)
+
+        # adaptive_quad's default rtol and panel budget, as quad_real_line's.
+        g, _, _, val, _ = _refine(integrand, np.array([gaps[i][1:] for i in rows]),
+                                  atol, 1e-9, 4000)
+        for i, part in zip(rows, _row_totals(g, val, len(rows))):
+            gap_parts[i] = part
+
+    totals = []
+    for (d, _, proj, rho, window_integral), plan in zip(parts, plans):
+        total = np.zeros(proj.shape, dtype=complex)
+        for a, b, gap in plan:
+            if gap is not None:
+                total = total + gap_parts[gap]
+                continue
+            rho_w, cols, added, tol = None, [], 0.0, atol
+            if rho is not None:
+                rho_w = np.where((a <= proj) & (proj <= b), rho, 0.0)
+                cols = np.flatnonzero(rho_w)
+                added = rho_w[cols] * window_integral(a, b, cols)
+                tol = max(atol, 1e-9 * float(np.max(np.abs(added), initial=0.0)))
+            part, _ = window_quad(_subtracted_integrand(d, kernel, rho_w), a, b, atol=tol)
             total = total + part
-        rho_w, cols, added, tol = None, [], 0.0, atol
-        if rho is not None:
-            rho_w = np.where((a <= proj) & (proj <= b), rho, 0.0)
-            cols = np.flatnonzero(rho_w)
-            added = rho_w[cols] * window_integral(a, b, cols)
-            tol = max(atol, 1e-9 * float(np.max(np.abs(added), initial=0.0)))
-        part, _ = window_quad(_subtracted_integrand(d, kernel, rho_w), a, b, atol=tol)
-        total = total + part
-        total[cols] += added
-        cursor = b
-    if cursor < hi:
-        part, _ = gap_quad(plain, cursor, hi, atol=atol)
-        total = total + part
-    return total
+            total[cols] += added
+        totals.append(total)
+    return totals
 
 
 def cauchy_eval(measure: BoundaryMeasure, constant, z, *, atol: float = 1e-10):
@@ -303,6 +349,7 @@ def cauchy_eval(measure: BoundaryMeasure, constant, z, *, atol: float = 1e-10):
         zc = flat[cols]
         return zc * (v - u) + (1.0 + zc * zc) * (np.log(v - zc) - np.log(u - zc))
 
+    parts = []
     for d in measure.densities:
         lo, hi = d.support
         dist = np.minimum(x - lo, hi - x)
@@ -322,8 +369,10 @@ def cauchy_eval(measure: BoundaryMeasure, constant, z, *, atol: float = 1e-10):
             w = max(50.0 * yj, 1e-13 * (1.0 + xj * xj))
             if not subtracted and yj < 5.0 and xj + w > lo and xj - w < hi:
                 windows.append((max(lo, xj - w), min(hi, xj + w)))
-        out += _windowed_integral(d, kernel, windows, x, rho, window_integral, atol,
-                                  quad_real_line, partial(adaptive_quad, min_panels=4))
+        parts.append((d, windows, x, rho, window_integral))
+    for total in _windowed_integrals(parts, kernel, atol,
+                                     partial(adaptive_quad, min_panels=4)):
+        out += total
     out = out.reshape(np.atleast_1d(arr).shape)
     return complex(out.ravel()[0]) if scalar else out
 
@@ -342,6 +391,7 @@ def _disc_herglotz_eval(measure: BoundaryMeasure, constant, atol=1e-10):
             zeta = np.exp(1j * t)[:, None]
             return (zeta + flat[None, :]) / (zeta - flat[None, :])
 
+        parts = []
         for d in measure.densities:
             lo, hi = d.support
             theta = lo + np.mod(np.angle(flat) - lo, 2.0 * np.pi)
@@ -361,7 +411,7 @@ def _disc_herglotz_eval(measure: BoundaryMeasure, constant, atol=1e-10):
                 half = np.minimum(0.5 * np.pi, 0.5 * dist)
                 windows = list(zip((theta - half)[sub].tolist(), (theta + half)[sub].tolist()))
 
-                def window_integral(u, v, cols):
+                def window_integral(u, v, cols, theta=theta):
                     # Antiderivative -t - 2i log(e^{it} - z).  A merged window
                     # is shorter than 2 pi; both of its sides of theta are cut
                     # in quarters, under pi/2 each, on which arg(e^{it} - z)
@@ -376,8 +426,9 @@ def _disc_herglotz_eval(measure: BoundaryMeasure, constant, atol=1e-10):
             if sub.any():
                 rho = np.zeros(flat.shape, dtype=complex)
                 rho[sub] = d(theta[sub])
-            out += _windowed_integral(d, kernel, windows, theta, rho, window_integral,
-                                      atol, adaptive_quad, adaptive_quad) / (2.0 * np.pi)
+            parts.append((d, windows, theta, rho, window_integral))
+        for total in _windowed_integrals(parts, kernel, atol, adaptive_quad):
+            out += total / (2.0 * np.pi)
         return out.reshape(np.atleast_1d(z).shape)
     return fn
 

@@ -146,6 +146,13 @@ def aitken_limit(values, passes: int = 2):
     return v[-1], err
 
 
+def _limit_rows(n: int, order: int) -> list:
+    """Indices of the samples among n that ``best_limit`` reads: the first,
+    for the growth test, and the last order + 2 for Neville and the last six
+    for two Aitken passes.  On those rows alone it returns the same bits."""
+    return [0, *range(max(1, n - max(order + 2, 6)), n)]
+
+
 def best_limit(xs, values, order: int = 8):
     """Neville extrapolation with Aitken fallback, componentwise by error estimate.
 

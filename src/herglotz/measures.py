@@ -316,57 +316,75 @@ def _pchip_end_slope(h0, h1, m0, m1):
     return np.where(keep, np.where(cap, 3.0 * m0, d), 0.0)
 
 
-def _pchip_coefficients(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Monotone cubic Hermite coefficients (c0..c3 per interval) through (ts, ys).
+def _table_densities(xs_list, vals_list) -> list:
+    """Sampled densities with monotone cubic interpolation, one per table.
 
-    ys is (n, k): k real columns interpolated at once.  Slopes are the
-    Fritsch-Butland weighted harmonic means of the neighbouring secants,
-    zero where they differ in sign or vanish, with one-sided three-point
-    ends (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980); two nodes give
-    the line.  The operations and their order are those of the reference
-    PCHIP the tests compare against bit for bit.  Returns (n - 1, 4, k), the
-    cubic coefficient first; coefficients that overflow raise SpecError.
+    Interpolation runs in the 2*arctan coordinate so that tables on unbounded
+    or very wide supports stay well conditioned; real and imaginary parts are
+    interpolated apart.  Slopes are the Fritsch-Butland weighted harmonic
+    means of the neighbouring secants, zero where they differ in sign or
+    vanish, with one-sided three-point ends (Fritsch & Carlson, SIAM J.
+    Numer. Anal. 17, 1980); two nodes give the line.  The operations and
+    their order are those of the reference PCHIP the tests compare against
+    bit for bit.  All tables are built at once on their concatenated nodes,
+    with masks at the table boundaries, so that no slope reads across one
+    and each table gets the coefficients a build of its own would.  Invalid
+    tables and coefficients that overflow raise SpecError.
     """
-    h = np.diff(ts)[:, None]
-    m = np.diff(ys, axis=0) / h
-    if len(ts) == 2:
-        d = np.concatenate((m, m))
-    else:
+    xs_list = [np.asarray(x, dtype=float) for x in xs_list]
+    vals_list = [np.asarray(v, dtype=complex) for v in vals_list]
+    if not xs_list:
+        return []
+    sizes = np.array([x.size for x in xs_list])
+    if any(x.ndim != 1 for x in xs_list) or np.any(sizes < 2):
+        raise SpecError("table nodes must be strictly increasing, length >= 2")
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    xs = np.concatenate(xs_list)
+    # Intervals between two nodes of one table; the others straddle a boundary.
+    same = np.ones(xs.size - 1, dtype=bool)
+    same[ends[:-1] - 1] = False
+    if np.any(np.diff(xs)[same] <= 0):
+        raise SpecError("table nodes must be strictly increasing, length >= 2")
+    vals = np.concatenate([v.ravel() for v in vals_list])
+    if (any(v.shape != x.shape for x, v in zip(xs_list, vals_list))
+            or not np.all(np.isfinite(vals))):
+        raise SpecError("table values must be finite, one per node")
+    ts = 2.0 * np.arctan(xs)
+    if not np.all(np.diff(ts)[same] > 0):
+        raise SpecError("table nodes collide in the 2*arctan coordinate")
+    ys = np.stack((vals.real, vals.imag), axis=1)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = np.diff(ts)[:, None]
+        m = np.diff(ys, axis=0) / h
+        # Interior slopes at every node but the first and last, then the
+        # ends of each table written over the nodes at its boundaries.
         w1 = 2 * h[1:] + h[:-1]
         w2 = h[1:] + 2 * h[:-1]
         flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-        d = np.concatenate((_pchip_end_slope(h[0], h[1], m[0], m[1])[None], inner,
-                            _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])[None]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = (d[:-1] + d[1:] - 2 * m) / h
-        coef = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1]), axis=1)
+        d = np.empty_like(ys)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        s, e = starts[sizes > 2], ends[sizes > 2] - 1
+        d[s] = _pchip_end_slope(h[s], h[s + 1], m[s], m[s + 1])
+        d[e] = _pchip_end_slope(h[e - 1], h[e - 2], m[e - 1], m[e - 2])
+        line = starts[sizes == 2]
+        d[line] = d[line + 1] = m[line]
+        h, m, d0, d1 = h[same], m[same], d[:-1][same], d[1:][same]
+        t = (d0 + d1 - 2 * m) / h
+        coef = np.stack((t / h, (m - d0) / h - t, d0, ys[:-1][same]), axis=1)
     if not np.all(np.isfinite(coef)):
         raise SpecError("table interpolant overflows; nodes too close for their values")
-    return coef
+    # Table k's intervals are rows starts[k] - k .. ends[k] - k - 2 of coef.
+    return [_table_part(ts[a:b], coef[a - k:b - k - 1], x, v)
+            for k, (a, b, x, v) in enumerate(zip(starts, ends, xs_list, vals_list))]
 
 
-def table_density(xs: Sequence[float], vals: Sequence[complex]) -> DensityPart:
-    """Sampled density with monotone cubic interpolation.
-
-    Interpolation runs in the 2*arctan coordinate so that tables on unbounded
-    or very wide supports stay well conditioned.  Real and imaginary parts are
-    interpolated apart; each interval keeps its four complex coefficients in
-    one row, and an evaluation gathers one row per point.
-    """
-    xs = np.asarray(xs, dtype=float)
-    vals = np.asarray(vals, dtype=complex)
-    if len(xs) < 2 or np.any(np.diff(xs) <= 0):
-        raise SpecError("table nodes must be strictly increasing, length >= 2")
-    if vals.shape != xs.shape or not np.all(np.isfinite(vals)):
-        raise SpecError("table values must be finite, one per node")
-    ts = 2.0 * np.arctan(xs)
-    if not np.all(np.diff(ts) > 0):
-        raise SpecError("table nodes collide in the 2*arctan coordinate")
-    coef = _pchip_coefficients(ts, np.stack((vals.real, vals.imag), axis=1))
+def _table_part(ts: np.ndarray, coef: np.ndarray, xs: np.ndarray,
+                vals: np.ndarray) -> DensityPart:
+    """The density of one table: nodes ts in the 2*arctan coordinate and its
+    (n - 1, 4, 2) interval coefficients, the cubic one first."""
     last = len(ts) - 2
-    lo, hi = float(xs[0]), float(xs[-1])
 
     def fn(x):
         t = np.clip(2.0 * np.arctan(np.asarray(x, dtype=float)), ts[0], ts[-1])
@@ -378,10 +396,16 @@ def table_density(xs: Sequence[float], vals: Sequence[complex]) -> DensityPart:
             + c[..., 0, :] * (s * s * s)
         return v[..., 0] + 1j * v[..., 1]
 
-    desc = {"kind": "table", "support": [lo, hi],
-            "xs": [float(v) for v in xs],
-            "vals": [[float(v.real), float(v.imag)] for v in vals]}
+    lo, hi = float(xs[0]), float(xs[-1])
+    desc = {"kind": "table", "support": [lo, hi], "xs": xs.tolist(),
+            "vals": np.stack((vals.real, vals.imag), axis=1).tolist()}
     return DensityPart((lo, hi), fn, desc)
+
+
+def table_density(xs: Sequence[float], vals: Sequence[complex]) -> DensityPart:
+    """Sampled density with monotone cubic interpolation (``_table_densities``
+    of the one table)."""
+    return _table_densities([xs], [vals])[0]
 
 
 def _power_density(p: complex):

@@ -26,7 +26,7 @@ from .errors import NonSimpleBehaviorError, SpecError
 from .extrapolation import LimitSchedule, diverged
 from .extraction import (atomic_mass_at_infinity, atomic_mass_batch,
                          density_grid, sup_abs_growth)
-from .measures import Atom, BoundaryMeasure, table_density, INF
+from .measures import Atom, BoundaryMeasure, _table_densities, INF
 from .quadrature import _lobatto
 
 __all__ = [
@@ -224,12 +224,12 @@ def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> Reconstruction
             if beta > 1.35:
                 raise NonSimpleBehaviorError(
                     f"density scan piece [{u}, {v}]: |f| grows like y^-{beta:.2f}")
+        tables = []
         for b in batches:
             vals, errs = density_grid(f, np.concatenate(piece_xs[b]), spec.schedule)
             max_density_err = max(max_density_err, float(np.max(errs)))
-            ends = np.cumsum([len(xs) for xs in piece_xs[b]])[:-1]
-            density_parts += [table_density(xs, v)
-                              for xs, v in zip(piece_xs[b], np.split(vals, ends))]
+            tables += np.split(vals, np.cumsum([len(xs) for xs in piece_xs[b]])[:-1])
+        density_parts = _table_densities(piece_xs, tables)
 
     constant = 0.5 * (f(1j) + f(-1j))
     residues = tuple(

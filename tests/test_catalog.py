@@ -9,7 +9,7 @@ from herglotz import (Atom, BoundaryMeasure, CatalogSpec, MobiusMatrix, catalog_
                       cauchy_eval, cauchy_kernel, conjugate, invert_variable,
                       mobius_apply, principal_log, principal_power, pushforward_mobius,
                       star_reflect, table_density, to_disc)
-from herglotz import catalog, quadrature
+from herglotz import catalog, measures, quadrature
 from herglotz.catalog import compose_mobius
 from herglotz.errors import DomainError, SpecError
 from herglotz.measures import DensityPart, density_from_descriptor
@@ -497,3 +497,125 @@ def test_with_reflection_refines_measure_evaluators_once(density_points):
         assert density_points["points"] <= 0.55 * separate, f.descriptor["kind"]
         for g, w in zip(got, want):
             assert np.all(np.abs(g - w) <= 1e-12 * np.abs(w)), f.descriptor["kind"]
+
+
+def _windowed_integral(d, kernel, windows, proj, rho, window_integral, atol,
+                       gap_quad, window_quad):
+    """One density's windows and gaps, one quadrature call each, left to right."""
+    lo, hi = d.support
+    plain = catalog._subtracted_integrand(d, kernel)
+    total = np.zeros(proj.shape, dtype=complex)
+    cursor = lo
+    for a, b in catalog._merge_intervals(windows):
+        if cursor < a:
+            part, _ = gap_quad(plain, cursor, a, atol=atol)
+            total = total + part
+        rho_w, cols, added, tol = None, [], 0.0, atol
+        if rho is not None:
+            rho_w = np.where((a <= proj) & (proj <= b), rho, 0.0)
+            cols = np.flatnonzero(rho_w)
+            added = rho_w[cols] * window_integral(a, b, cols)
+            tol = max(atol, 1e-9 * float(np.max(np.abs(added), initial=0.0)))
+        part, _ = window_quad(catalog._subtracted_integrand(d, kernel, rho_w), a, b,
+                              atol=tol)
+        total = total + part
+        total[cols] += added
+        cursor = b
+    if cursor < hi:
+        part, _ = gap_quad(plain, cursor, hi, atol=atol)
+        total = total + part
+    return total
+
+
+def _per_density(parts, kernel, atol, window_quad):
+    # quad_real_line hands the gaps no wider than 200, every gap on the
+    # circle among them, to adaptive_quad as they are.
+    return [_windowed_integral(d, kernel, windows, proj, rho, window_integral, atol,
+                               quadrature.quad_real_line, window_quad)
+            for d, windows, proj, rho, window_integral in parts]
+
+
+_GROUPED = catalog._windowed_integrals
+
+
+def _grouped_and_per_density(monkeypatch, density_points, fn):
+    """fn() with the gaps grouped and with the per-density loop, each with the
+    density points and the shapes of the ``_refine`` edges it used."""
+    refine, runs = quadrature._refine, []
+
+    def counted(f, edges, *args):
+        runs[-1]["refines"].append(np.shape(edges))
+        return refine(f, edges, *args)
+
+    monkeypatch.setattr(quadrature, "_refine", counted)
+    monkeypatch.setattr(catalog, "_refine", counted)
+    for loop in (_GROUPED, _per_density):
+        monkeypatch.setattr(catalog, "_windowed_integrals", loop)
+        density_points["points"] = 0
+        runs.append({"refines": []})
+        runs[-1]["value"] = fn()
+        runs[-1]["points"] = density_points["points"]
+    return runs
+
+
+def test_grouped_gaps_are_bit_equal_to_the_per_density_loop(monkeypatch, density_points):
+    # 50 table pieces with gaps between them, a table wider than 200, atoms
+    # and z^(1/2)'s density on (-inf, 0): points inside pieces, in the gaps
+    # and off the support, from Im z = 1 down to 1e-9 on both sides.
+    rng = np.random.default_rng(15)
+    tables = []
+    for k in range(50):
+        xs = np.linspace(k + 0.5, k + 1.3, 6)
+        tables.append(table_density(xs, np.cos(xs) + 1j * rng.uniform(-1, 1, 6)))
+    tables.append(table_density(np.linspace(100.0, 400.0, 9), np.full(9, 0.01)))
+    root, c = _power_measure(0.5)
+    m = BoundaryMeasure((Atom(1.4, 0.5), Atom(20.4, -1j), Atom(60.0, 2.0)),
+                        tuple(tables) + root.densities)
+    xs = np.array([-3.0, -0.1, 0.7, 1.4, 17.9, 30.45, 70.0, 250.0])
+    zs = np.concatenate([xs + 1j * y for y in (1.0, 1e-3, -1e-6, 1e-9)])
+    for z in (zs, zs[:1], zs[11:12], zs[-1:]):
+        new, ref = _grouped_and_per_density(monkeypatch, density_points,
+                                            lambda: cauchy_eval(m, c, z))
+        assert np.array_equal(_bits(new["value"]), _bits(ref["value"])), z
+        assert new["points"] == ref["points"], z
+        assert sum(len(e) == 2 for e in new["refines"]) == 1, z
+    # A lone gap keeps its one-row refinement.
+    lone = BoundaryMeasure((), tables[:1])
+    new, ref = _grouped_and_per_density(monkeypatch, density_points,
+                                        lambda: cauchy_eval(lone, 0.0, 0.5 + 10j))
+    assert new["value"] == ref["value"] and new["refines"] == ref["refines"] == [(2,)]
+
+    # The disc evaluator, on densities over parts of the circle.
+    arcs = (DensityPart((-1.0, 2.0), lambda t: (1 + 0.5j) * np.exp(t)),
+            DensityPart((2.5, 3.0), lambda t: np.cos(t).astype(complex)),
+            DensityPart((-3.0, -1.5), lambda t: np.full(np.shape(t), 0.3j)))
+    disc = catalog_build(CatalogSpec("disc_herglotz", {
+        "measure": BoundaryMeasure((Atom(2.2, 1.0),), arcs, "circle"), "constant": 0.1}))
+    angles = np.array([-2.0, 0.5, 1.99, 2.2, 2.75, 3.1])
+    zs = np.concatenate([r * np.exp(1j * angles)
+                         for r in (0.5, 1.0 - 1e-6, 1.0 / (1.0 - 1e-3))])
+    for z in (zs, zs[1:2]):
+        new, ref = _grouped_and_per_density(monkeypatch, density_points, lambda: disc(z))
+        assert np.array_equal(_bits(new["value"]), _bits(ref["value"])), z
+        assert new["points"] == ref["points"], z
+        assert sum(len(e) == 2 for e in new["refines"]) == 1, z
+
+
+def test_resynthesis_refines_all_gaps_in_one_call(monkeypatch, density_points):
+    # A measure laid out like tan's reconstruction: 1 003 table pieces between
+    # the poles pi n / 2, n odd, |n| <= 1001.  At the probe 2i, the pieces
+    # within 100 of 0 lie in the probe's peak window; each of the others is
+    # one gap, and they all go to one grouped refinement.
+    poles = np.pi * np.arange(-1001, 1002, 2) / 2.0
+    cuts = np.concatenate([[poles[0] - np.pi / 2], poles, [poles[-1] + np.pi / 2]])
+    xs = [np.linspace(u + 1e-3, v - 1e-3, 4) for u, v in zip(cuts[:-1], cuts[1:])]
+    parts = measures._table_densities(xs, [1e-8 * np.cos(x) + 0j for x in xs])
+    m = BoundaryMeasure(tuple((s, 1.0) for s in poles), tuple(parts))
+    new, ref = _grouped_and_per_density(monkeypatch, density_points,
+                                        lambda: cauchy_eval(m, 0.0, np.array([2j])))
+    assert len(parts) == 1003
+    assert np.array_equal(_bits(new["value"]), _bits(ref["value"]))
+    assert new["points"] == ref["points"]
+    grouped = [e for e in new["refines"] if len(e) == 2]
+    assert len(grouped) == 1 and grouped[0][0] >= 900
+    assert len(new["refines"]) == len(ref["refines"]) - grouped[0][0] + 1 <= 80

@@ -8,6 +8,7 @@ from herglotz import (Atom, BoundaryMeasure, CatalogSpec, LimitSchedule,
                       extract_functional, simple_scan, star_reflect,
                       vladimirov_norm)
 from herglotz.extraction import atomic_mass_batch, sup_abs_growth
+from herglotz.extrapolation import best_limit
 from herglotz.errors import NonSimpleBehaviorError
 from herglotz.catalog import AnalyticFunction
 from herglotz.measures import TestFunction
@@ -70,6 +71,28 @@ def test_scalar_extraction_matches_batched(sqrt_fn, tan_fn):
     x = 3.0 * np.pi / 2.0
     masses, _ = atomic_mass_batch(tan_fn, [x])
     assert atomic_mass_at(tan_fn, x) == masses[0]
+
+
+def test_batches_sample_only_the_heights_best_limit_reads(tan_fn, sqrt_fn):
+    # The default schedule's second height (y = 0.25) is never read: the
+    # batches skip it and return the bits of best_limit over every height.
+    sched, xs = LimitSchedule(), np.array([-2.5, -0.3, 0.7, 1.9])
+    ys = sched.heights
+    for f in (tan_fn, sqrt_fn):
+        points = []
+        counted = AnalyticFunction(lambda z, f=f: points.append(np.size(z)) or f(z))
+        Z = xs[None, :] + 1j * ys[:, None]
+        want = best_limit(ys, (f(Z) - f(np.conj(Z))) / (2j * np.pi * (1.0 + xs * xs)),
+                          order=sched.order)
+        got = density_grid(counted, xs, sched)
+        assert sum(points) == 2 * (sched.steps - 1) * xs.size
+        assert all(np.array_equal(g.view(np.uint64), w.view(np.uint64))
+                   for g, w in zip(got, want))
+        want = best_limit(ys, ys[:, None] * f(Z) / (1j * (1.0 + xs * xs)),
+                          order=sched.order)
+        got = atomic_mass_batch(f, xs, sched)
+        assert all(np.array_equal(g.view(np.uint64), w.view(np.uint64))
+                   for g, w in zip(got, want))
 
 
 def test_star_covariance_of_extract():

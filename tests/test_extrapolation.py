@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from herglotz import LimitSchedule
 from herglotz.errors import SpecError
-from herglotz.extrapolation import (aitken_limit, best_limit, diverged,
+from herglotz.extrapolation import (_limit_rows, aitken_limit, best_limit, diverged,
                                     limit_from_samples, neville_zero_limit)
 
 
@@ -141,3 +141,24 @@ def test_sliced_tableaux_are_bit_equal(n, order, passes, seed, special):
         assert all(_same_bits(g, w) for g, w in zip(got, want))
         got, want = aitken_limit(fs, passes=passes), _full_aitken(fs, passes)
         assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=300)
+@given(steps=st.integers(3, 16), order=st.integers(1, 10),
+       seed=st.integers(0, 2 ** 32 - 1), special=st.lists(_SPECIAL, max_size=3))
+def test_best_limit_on_the_rows_it_reads_is_bit_equal(steps, order, seed, special):
+    # Random columns, a growing one, and one per special value from a random
+    # row on: the rows _limit_rows keeps give best_limit's bits on all rows.
+    rng = np.random.default_rng(seed)
+    xs = 0.5 * 0.5 ** np.arange(steps)
+    shape = (steps, 3 + len(special))
+    fs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    fs[:, 1] = 3.0 + xs ** 0.5
+    fs[:, 2] = 10.0 ** np.arange(steps)
+    for k, v in enumerate(special):
+        fs[rng.integers(steps):, 3 + k] = v
+    rows = _limit_rows(steps, order)
+    assert rows[0] == 0 and list(rows) == sorted(set(rows))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = best_limit(xs[rows], fs[rows], order), best_limit(xs, fs, order)
+    assert all(_same_bits(g, w) for g, w in zip(got, want))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from herglotz import (Atom, BoundaryMeasure, MobiusMatrix, TestFunction,
+from herglotz import (Atom, BoundaryMeasure, MobiusMatrix, TestFunction, measures,
                       conjugate, integrate, measure_from_json, measure_to_json,
                       pushforward_mobius, table_density, total_variation)
 from herglotz.errors import SpecError
@@ -235,6 +235,85 @@ def test_table_density_rejects_overflowing_interpolant():
     # overflow: the interpolant would be NaN at the node 0 and the midpoints.
     with pytest.raises(SpecError, match="overflows"):
         table_density([0.0, 1e-300, 1.0], [0.0, 1.0, 0.0])
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    keep = np.sign(d) == np.sign(m0)
+    cap = keep & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(keep, np.where(cap, 3.0 * m0, d), 0.0)
+
+
+def _pchip_coefficients(xs, vals):
+    """The one-table PCHIP build, checks included: (n - 1, 4, 2) coefficients
+    in the 2*arctan coordinate, or SpecError."""
+    if len(xs) < 2 or np.any(np.diff(xs) <= 0):
+        raise SpecError("table nodes must be strictly increasing, length >= 2")
+    if vals.shape != xs.shape or not np.all(np.isfinite(vals)):
+        raise SpecError("table values must be finite, one per node")
+    ts = 2.0 * np.arctan(xs)
+    if not np.all(np.diff(ts) > 0):
+        raise SpecError("table nodes collide in the 2*arctan coordinate")
+    ys = np.stack((vals.real, vals.imag), axis=1)
+    h = np.diff(ts)[:, None]
+    with np.errstate(over="ignore", divide="ignore"):
+        m = np.diff(ys, axis=0) / h
+    if len(ts) == 2:
+        d = np.concatenate((m, m))
+    else:
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            d = np.concatenate((_pchip_end_slope(h[0], h[1], m[0], m[1])[None], inner,
+                                _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])[None]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        coef = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1]), axis=1)
+    if not np.all(np.isfinite(coef)):
+        raise SpecError("table interpolant overflows; nodes too close for their values")
+    return coef
+
+
+def _coefficients(part):
+    """The interval coefficients a table density's evaluator reads."""
+    cells = dict(zip(part.fn.__code__.co_freevars, part.fn.__closure__))
+    return cells["coef"].cell_contents
+
+
+_OVERFLOWING = (np.array([0.0, 1e-300, 1.0]), np.array([0.0, 1.0, 0.0], dtype=complex))
+
+
+@settings(max_examples=60)
+@given(st.lists(st.one_of(_tables(), st.just(_OVERFLOWING)), min_size=1, max_size=40))
+@example([(np.array([-1.0, 2.0]), np.array([1.0 - 1j, -3.0 + 0j])),
+          (np.linspace(-3.0, 3.0, 9), np.array([0, 0, 1, 1, 1, -2, -2, 0, 5]) * (1 + 1j)),
+          (np.array([0.5, 0.75]), np.array([2.0, 0.0j]))])
+@example([(np.linspace(1.0, 2.0, 5), np.ones(5, dtype=complex)), _OVERFLOWING])
+def test_one_build_for_many_tables_is_bit_equal(tables):
+    # Two-node tables, flat runs, sign changes and an overflowing table: each
+    # table of one build gets the coefficients and values of its own build.
+    errors = []
+    for xs, vals in tables:
+        try:
+            _pchip_coefficients(xs, vals)
+        except SpecError as exc:
+            errors.append(str(exc))
+    if errors:
+        with pytest.raises(SpecError) as caught:
+            measures._table_densities(*zip(*tables))
+        assert str(caught.value) in errors
+        return
+    parts = measures._table_densities(*zip(*tables))
+    assert len(parts) == len(tables)
+    for (xs, vals), part in zip(tables, parts):
+        want = _pchip_coefficients(xs, vals)
+        assert np.array_equal(_coefficients(part).view(np.uint64), want.view(np.uint64))
+        x = np.concatenate([xs, 0.5 * (xs[1:] + xs[:-1]), [xs[0] - 1.0, xs[-1] + 1.0]])
+        own = table_density(xs, vals)
+        assert np.array_equal(part.fn(x).view(np.uint64), own.fn(x).view(np.uint64))
+        assert part.support == own.support and part.descriptor == own.descriptor
 
 
 def test_measure_json_roundtrip():
