@@ -51,6 +51,13 @@ class AnalyticFunction:
     boundary_support entries are ("interval", lo, hi) or ("point", loc) with
     loc possibly infinite; pole_locator enumerates atom candidates inside a
     window for families with infinitely many poles.
+
+    star_symmetric means f(conj z) = conj f(z), so the lower side of a
+    reflection pair is the conjugate of the upper one.  ``catalog_build``
+    derives it from real recipe data, and ``compose_mobius`` (real matrices)
+    and ``star_reflect`` keep it; no spec field or CLI flag sets it.  The
+    disc is left out: there the mirror value 2 Re c - conj phi(w) is not
+    bit-equal to an evaluation at 1/conj(w).
     """
 
     fn: Callable = field(repr=False)
@@ -59,10 +66,13 @@ class AnalyticFunction:
     has_representing_measure: Optional[bool] = None
     descriptor: Optional[dict] = None
     pole_locator: Optional[Callable] = field(default=None, repr=False)
+    star_symmetric: bool = False
 
     def __post_init__(self):
         if self.picture not in ("half-plane", "disc"):
             raise SpecError(f"unknown picture {self.picture!r}")
+        if self.star_symmetric and self.picture == "disc":
+            raise SpecError("star_symmetric applies to half-plane functions only")
 
     def __call__(self, z):
         arr, scalar = _as_complex_array(z)
@@ -83,9 +93,13 @@ def _with_reflection(f: AnalyticFunction, z):
     An evaluator that integrates a measure refines one joint quadrature over
     the points of a call, and a point and its mirror image need the same
     panels, so the pair costs one refinement instead of two.  A pointwise
-    evaluator gives the values of two separate calls bit for bit.
+    evaluator gives the values of two separate calls bit for bit.  A
+    star-symmetric f is called on z alone and f(z*) is conj f(z).
     """
     z = np.asarray(z, dtype=complex)
+    if f.star_symmetric:
+        v = f(z)
+        return v, np.conj(v)
     mirror = np.conj(z) if f.picture == "half-plane" else 1.0 / np.conj(z)
     both = f(np.concatenate([z.ravel(), mirror.ravel()]))
     return both[:z.size].reshape(z.shape), both[z.size:].reshape(z.shape)
@@ -467,6 +481,16 @@ def _exp_lattice(sigma: float, lo: float, hi: float, parity: str):
     return np.exp(ns * step)
 
 
+def _real_density(d) -> bool:
+    """Whether the density's own descriptor makes it real: a table with zero
+    imaginary parts or a catalog power density of real p.  An undescribed
+    density counts as complex."""
+    desc = d.descriptor or {}
+    if desc.get("kind") == "table":
+        return all(v[1] == 0 for v in desc["vals"])
+    return desc.get("kind", "").startswith("catalog-power") and desc["p"][1] == 0
+
+
 def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
     """Construct the evaluator and boundary metadata for a catalog recipe."""
     kind, p = spec.kind, spec.params
@@ -476,21 +500,21 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
             _tan_values, "half-plane",
             (("point", INF),),
             True, {"kind": "tan"},
-            lambda lo, hi: _odd_multiples(math.pi / 2.0, lo, hi, "odd"))
+            lambda lo, hi: _odd_multiples(math.pi / 2.0, lo, hi, "odd"), True)
 
     if kind == "cot":
         return AnalyticFunction(
             _cot_values, "half-plane",
             (("point", INF),),
             True, {"kind": "cot"},
-            lambda lo, hi: _odd_multiples(math.pi, lo, hi, "any"))
+            lambda lo, hi: _odd_multiples(math.pi, lo, hi, "any"), True)
 
     if kind == "csc2":
         return AnalyticFunction(
             lambda z: 2.0 * _inv_sin_values(2.0 * np.asarray(z, dtype=complex)),
             "half-plane", (("point", INF),),
             True, {"kind": "csc2"},
-            lambda lo, hi: _odd_multiples(math.pi / 2.0, lo, hi, "any"))
+            lambda lo, hi: _odd_multiples(math.pi / 2.0, lo, hi, "any"), True)
 
     if kind in ("power", "power_log", "power_over_log"):
         pw = complex(p["p"])
@@ -512,7 +536,7 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
                        np.array([1.0]) if lo < 1.0 < hi else np.array([]))
         return AnalyticFunction(
             fn, "half-plane", support, has_rep,
-            {"kind": kind, "p": [pw.real, pw.imag]}, locator)
+            {"kind": kind, "p": [pw.real, pw.imag]}, locator, pw.imag == 0)
 
     if kind in ("tan_sigma_log", "cot_sigma_log", "csc2_sigma_log"):
         sigma = float(p["sigma"])
@@ -533,7 +557,7 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
             (("interval", -INF, 0.0), ("point", 0.0), ("point", INF)),
             True,
             {"kind": kind, "sigma": sigma},
-            lambda lo, hi, s=sigma, q=parity: _exp_lattice(s, lo, hi, q))
+            lambda lo, hi, s=sigma, q=parity: _exp_lattice(s, lo, hi, q), True)
 
     if kind == "rational":
         a, b = complex(p["a"]), complex(p["b"])
@@ -560,7 +584,8 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
             fn, "half-plane", support, True,
             {"kind": "rational", "a": [a.real, a.imag], "b": [b.real, b.imag],
              "poles": poles, "coeffs": [[c.real, c.imag] for c in coeffs]},
-            lambda lo, hi: np.array([s for s in poles if lo < s < hi]))
+            lambda lo, hi: np.array([s for s in poles if lo < s < hi]),
+            all(v.imag == 0 for v in [a, b, *coeffs]))
 
     if kind == "cauchy":
         m: BoundaryMeasure = p["measure"]
@@ -573,7 +598,9 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
             "half-plane", support, True,
             {"kind": "cauchy", "measure": measure_to_json(m),
              "constant": [c.real, c.imag]},
-            lambda lo, hi: atom_locs[(atom_locs > lo) & (atom_locs < hi)])
+            lambda lo, hi: atom_locs[(atom_locs > lo) & (atom_locs < hi)],
+            c.imag == 0 and all(a.mass.imag == 0 for a in m.atoms)
+            and all(_real_density(d) for d in m.densities))
 
     if kind == "disc_herglotz":
         m = p["measure"]
@@ -633,7 +660,7 @@ def compose_mobius(f: AnalyticFunction, m: MobiusMatrix) -> AnalyticFunction:
 
     return AnalyticFunction(fn, "half-plane", tuple(support), f.has_representing_measure,
                             {"kind": "mobius-composition", "base": f.descriptor,
-                             "matrix": [m.a, m.b, m.c, m.d]}, locator)
+                             "matrix": [m.a, m.b, m.c, m.d]}, locator, f.star_symmetric)
 
 
 def star_reflect(f: AnalyticFunction) -> AnalyticFunction:
@@ -645,7 +672,7 @@ def star_reflect(f: AnalyticFunction) -> AnalyticFunction:
     return AnalyticFunction(fn, f.picture, f.boundary_support,
                             f.has_representing_measure,
                             {"kind": "star", "base": f.descriptor},
-                            f.pole_locator)
+                            f.pole_locator, f.star_symmetric)
 
 
 def boundary_atoms_in_window(f: AnalyticFunction, lo: float, hi: float) -> np.ndarray:

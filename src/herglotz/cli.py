@@ -232,7 +232,7 @@ def _check_poisson_identity(args, report):
 
 def _check_variation_bound(args, report):
     """int |f(x + iy) - f(x - iy)| / (1 + x^2) dx against its total-variation
-    bound at three heights; each node evaluates both sides in one call."""
+    bound at three heights; each node gets both sides from one call."""
     f = _load_spec(args.spec)
     if f.descriptor is None or f.descriptor.get("kind") != "cauchy":
         raise SpecError("variation-bound requires a cauchy-kind function spec")

@@ -43,7 +43,7 @@ _INFINITY_SCHEDULE = LimitSchedule(y0=0.25, ratio=0.5, steps=14)
 
 
 def _plus_minus_difference(f: AnalyticFunction, x, y: float):
-    """f(x + iy) - f(x - iy), both sides in one call (``_with_reflection``),
+    """f(x + iy) - f(x - iy), both sides from one call (``_with_reflection``),
     so a measure evaluator refines one quadrature for the pair."""
     upper, lower = _with_reflection(f, np.asarray(x, dtype=float) + 1j * y)
     return upper - lower
@@ -72,16 +72,25 @@ def extract_functional(f: AnalyticFunction, test: TestFunction,
 def _density_samples(f: AnalyticFunction, xs: np.ndarray, ys: np.ndarray):
     """(f(x+iy) - f(x-iy)) / (2 pi i (1+x^2)) with heights down axis 0.
 
-    The two sides stay two calls: these grids reach 11 x 100 000 points on
-    closed-form functions, where one joint call saves no work and its joined
-    copies raise peak memory.  For the same reason the grid of upper points
-    is dropped before the lower side is evaluated.
+    A star-symmetric f is evaluated on the upper points only, f(x-iy) being
+    conj f(x+iy); the difference is formed in the conjugate's buffer, which
+    keeps the peak memory of a large grid down.  Otherwise the two sides stay
+    two calls: these grids reach 11 x 100 000 points on closed-form
+    functions, where one joint call saves no work and its joined copies raise
+    peak memory.  For the same reason the grid of upper points is dropped
+    before the lower side is evaluated.
     """
     Z = xs[None, :] + 1j * ys[:, None]
     upper = f(Z)
-    Z = np.conj(Z)
-    diff = upper - f(Z)
-    return diff / (2j * np.pi * (1.0 + xs * xs)[None, :])
+    if f.star_symmetric:
+        del Z
+        diff = np.conj(upper)
+        np.subtract(upper, diff, out=diff)
+    else:
+        Z = np.conj(Z)
+        diff = upper - f(Z)
+    diff /= 2j * np.pi * (1.0 + xs * xs)[None, :]
+    return diff
 
 
 def density_at(f: AnalyticFunction, x: float,
@@ -187,9 +196,12 @@ class SimpleScanReport:
 def _scan_part(f: AnalyticFunction, lo: float, hi: float, ys, nx: int):
     # Two calls, as in _density_samples: on a grid of a closed-form function
     # one joint call saves no work and its joined copies raise peak memory.
+    # For a star-symmetric f the lower side equals the upper one.
     xs = np.linspace(lo, hi, nx)
     Z = xs[None, :] + 1j * ys[:, None]
     q_up = Z.imag / (1.0 + np.abs(Z) ** 2) * np.abs(f(Z))
+    if f.star_symmetric:
+        return q_up.max(axis=1)
     Zl = np.conj(Z)
     q_dn = -Zl.imag / (1.0 + np.abs(Zl) ** 2) * np.abs(f(Zl))
     return np.maximum(q_up.max(axis=1), q_dn.max(axis=1))

@@ -252,7 +252,10 @@ def _image_interval(binv: MobiusMatrix, lo: float, hi: float,
         probes = [hi - 2.0, hi - 1.0]
     else:
         probes = [-1.0, 1.0]
-    img = mobius_apply_values(binv, np.asarray(probes, dtype=complex)).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        img = mobius_apply_values(binv, np.asarray(probes, dtype=complex)).real
+    if not np.all(np.isfinite(img)):
+        raise SpecError(f"the image of ({lo}, {hi}) overflows the doubles")
     increasing = img[1] > img[0]
     e_lo = INF if lo_is_pole else _image_point(binv, lo)
     e_hi = INF if hi_is_pole else _image_point(binv, hi)

@@ -98,17 +98,23 @@ class MobiusMatrix:
 
 
 def mobius_apply(m: MobiusMatrix, p) -> SpherePoint:
-    """Total sphere action: infinity maps to a/c, zeros of cz+d map to infinity."""
+    """Total sphere action: infinity maps to a/c, zeros of cz+d and images too
+    large for a double map to infinity."""
     p = SpherePoint.of(p)
     if p.infinite:
         if m.c == 0.0:
             return INFINITY
-        return SpherePoint(m.a / m.c)
+        return SpherePoint.of(m.a / m.c)
     num = m.a * p.value + m.b
     den = m.c * p.value + m.d
     if den == 0:
         return INFINITY
-    return SpherePoint(num / den)
+    q = SpherePoint.of(num / den)
+    if q.infinite and p.value != 0:
+        # num or den overflowed: divide both by p first.
+        den = m.c + m.d / p.value
+        q = SpherePoint.of((m.a + m.b / p.value) / den) if den != 0 else INFINITY
+    return q
 
 
 def mobius_apply_values(m: MobiusMatrix, z):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from herglotz import AnalyticFunction, CatalogSpec, catalog_build, measures, quadrature
+from herglotz import AnalyticFunction, CatalogSpec, catalog, catalog_build, measures, quadrature
 
 # Reproducible property tests: the same examples every run, no example database.
 settings.register_profile("herglotz", deadline=None, database=None, derandomize=True)
@@ -69,4 +69,18 @@ def density_points(monkeypatch):
         return call(self, x)
 
     monkeypatch.setattr(measures.DensityPart, "__call__", counted)
+    return seen
+
+
+@pytest.fixture
+def function_points(monkeypatch):
+    """Points handed to ``AnalyticFunction.__call__`` while the test runs."""
+    seen = {"points": 0}
+    call = catalog.AnalyticFunction.__call__
+
+    def counted(self, z):
+        seen["points"] += np.size(z)
+        return call(self, z)
+
+    monkeypatch.setattr(catalog.AnalyticFunction, "__call__", counted)
     return seen

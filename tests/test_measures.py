@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from herglotz import (Atom, BoundaryMeasure, MobiusMatrix, TestFunction, measures,
-                      conjugate, integrate, measure_from_json, measure_to_json,
-                      pushforward_mobius, table_density, total_variation)
+from herglotz import (Atom, BoundaryMeasure, CatalogSpec, MobiusMatrix, TestFunction,
+                      catalog_build, conjugate, integrate, measure_from_json,
+                      measure_to_json, measures, pushforward_mobius, table_density,
+                      total_variation)
+from herglotz.catalog import compose_mobius
 from herglotz.errors import SpecError
 from herglotz.measures import DensityPart
 from herglotz.testing import smooth_bump
@@ -89,6 +91,18 @@ def test_pushforward_identity():
     assert out.atoms[0].loc == 1.0 and abs(out.atoms[0].mass - 2.0) < 1e-15
     test = smooth_bump(-3.0, -1.0)
     assert abs(integrate(out, test) - integrate(m, test)) < 1e-10
+
+
+def test_pushforward_with_a_subnormal_entry():
+    # A.z = (2.2e-309 z + 1)/z: an atom at 0 goes to +inf, as compose_mobius
+    # says, and (0, 2.2e-309) maps beyond -1.8e308, which no double holds.
+    A = MobiusMatrix(2.2e-309, 1, 1, 0)
+    atoms = BoundaryMeasure((Atom(0.0, 1.0),))
+    f = catalog_build(CatalogSpec("cauchy", {"measure": atoms}))
+    assert [a.loc for a in pushforward_mobius(atoms, A).atoms] == [math.inf]
+    assert compose_mobius(f, A).boundary_support == (("point", math.inf),)
+    with pytest.raises(SpecError, match="overflows"):
+        pushforward_mobius(BoundaryMeasure((), (table_density([0.0, 1.0], [1.0, 1.0]),)), A)
 
 
 def test_pushforward_atom_to_infinity():

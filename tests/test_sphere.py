@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from herglotz import (INFINITY, MobiusMatrix, SpherePoint, cayley_to_disc,
                       cayley_to_halfplane, disc_rotation_matrix, mobius_apply)
@@ -34,6 +36,37 @@ def test_mobius_at_infinity():
 def test_pole_routes_to_infinity():
     m = MobiusMatrix(1, 0, 1, -2)
     assert mobius_apply(m, 2.0).infinite
+
+
+def test_overflowing_images_are_infinity():
+    # 2e308 is not a double; 2 * 1.7e308 overflows, but the image is 2.
+    assert mobius_apply(MobiusMatrix(2, 0, 5e-324, 1), 1e308) == INFINITY
+    got = mobius_apply(MobiusMatrix(2, 0, 1, 1), 1.7e308)
+    assert not got.infinite and got.value == 2.0
+
+
+_EXTREME = st.sampled_from([0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1.0, -3.0,
+                            1e300, -1e308, 1.7e308]) | st.floats(-1e3, 1e3)
+
+
+@given(st.tuples(*[_EXTREME] * 4), _EXTREME, _EXTREME, st.booleans())
+def test_mobius_apply_never_flags_an_overflow_as_finite(entries, re, im, at_infinity):
+    try:
+        m = MobiusMatrix(*entries)
+    except SpecError:
+        assume(False)
+    p = INFINITY if at_infinity else complex(re, im)
+    got = mobius_apply(m, p)
+    assert got.infinite or (math.isfinite(got.value.real) and math.isfinite(got.value.imag))
+    # Wherever the plain quotient is finite, its bits are kept.
+    if at_infinity:
+        plain = m.a / m.c if m.c != 0.0 else None
+    else:
+        den = m.c * p + m.d
+        plain = (m.a * p + m.b) / den if den != 0 else None
+    if plain is not None and cmath.isfinite(plain):
+        assert not got.infinite and got.value == complex(plain)
+        assert repr(got.value) == repr(complex(plain))
 
 
 def test_group_law_on_samples():
