@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,8 +22,8 @@ import numpy as np
 from .errors import DomainError, SpecError
 from .measures import (BoundaryMeasure, measure_from_json, measure_to_json,
                        INF, _image_pieces, _image_point)
-from .quadrature import _refine, _row_totals, adaptive_quad, quad_real_line
-from .sphere import MobiusMatrix
+from .quadrature import _WK, _XK, _line_pieces, _refine, _tail_map
+from .sphere import MobiusMatrix, mobius_apply_values
 
 __all__ = [
     "AnalyticFunction",
@@ -87,22 +87,14 @@ class AnalyticFunction:
 
 
 def _with_reflection(f: AnalyticFunction, z):
-    """(f(z), f(z*)) from one call of f, z* the mirror image of z across the
-    boundary: conj(z) on the half plane, 1/conj(z) on the disc.
-
-    An evaluator that integrates a measure refines one joint quadrature over
-    the points of a call, and a point and its mirror image need the same
-    panels, so the pair costs one refinement instead of two.  A pointwise
-    evaluator gives the values of two separate calls bit for bit.  A
-    star-symmetric f is called on z alone and f(z*) is conj f(z).
-    """
+    """(f(z), f(z*)), z* the mirror image of z across the boundary: conj(z)
+    on the half plane, 1/conj(z) on the disc.  A star-symmetric f is called
+    on z alone and f(z*) is conj f(z)."""
     z = np.asarray(z, dtype=complex)
     if f.star_symmetric:
         v = f(z)
         return v, np.conj(v)
-    mirror = np.conj(z) if f.picture == "half-plane" else 1.0 / np.conj(z)
-    both = f(np.concatenate([z.ravel(), mirror.ravel()]))
-    return both[:z.size].reshape(z.shape), both[z.size:].reshape(z.shape)
+    return f(z), f(np.conj(z) if f.picture == "half-plane" else 1.0 / np.conj(z))
 
 
 def principal_log(z):
@@ -223,175 +215,255 @@ def cauchy_kernel(s, z):
     return out
 
 
-def _merge_intervals(intervals):
-    if not intervals:
-        return []
-    intervals = sorted(intervals)
-    merged = [list(intervals[0])]
-    for u, v in intervals[1:]:
-        if u <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], v)
+# Fixed density panels with a near-panel product rule.  Each density is sampled
+# once, on panels of 15 Kronrod nodes that depend on the density alone: a
+# table's node intervals in s, split evenly in asinh s where wider than 1/2
+# there (the cubic in 2 arctan s is analytic up to s = +-i); for a catalog power
+# density, panels in |x| at ratio sqrt 2 (dyadic ones missed 1e-10), cut where
+# the neglected ends x^(1 + Re p) at 0 and x^(Re p - 1) at infinity fall under
+# 2^-60; otherwise panels that ``_refine`` fits to the density alone, on the
+# line in the pieces and tail maps of ``quad_real_line``, on the circle from
+# uniform panels no wider than pi/8.  A point with a pole u0 of the kernel
+# within _NEAR of a panel, in the panel's local coordinate, takes weights exact
+# for g(u)/(u - u0), g of degree 14 (Helsing & Ojala, J. Comput. Phys. 227,
+# 2008), on the smooth g = (u - u0) K rho; on the circle u0 = -i log w (the
+# singularity swap of af Klinteberg & Barnett, BIT 61, 2021).  Farther out the
+# plain rule meets 1e-14.  A value costs panels x points at any distance from
+# the boundary, and each point sums its own terms in panel order, so it is
+# bit-equal in any batch.
+_NEAR = 2.0
+
+# Node x point entries of each temporary in the panel sums.
+_BLOCK = 1 << 13
+
+
+def _cauchy_weights(w, p0):
+    """Weights lam (n, 15), sum_j lam_j g(x_j) = integral over [-1, 1] of
+    g(x)/(x - w_i) dx for g of degree < 15 at the Kronrod nodes x, from p0,
+    that integral for g = 1: the moments by their recurrence, then the dual
+    Bjorck-Pereyra algorithm (Golub & Van Loan, Alg. 4.6.2), without LAPACK.
+    p0 comes from the panel's own edges, so panels sharing an edge see its
+    logarithmic term bit for bit alike."""
+    n, x = _XK.size, _XK
+    lam = np.empty((w.size, n), dtype=complex)
+    lam[:, 0] = p0
+    for k in range(n - 1):
+        lam[:, k + 1] = w * lam[:, k] + (2.0 / (k + 1) if k % 2 == 0 else 0.0)
+    for k in range(n - 1):
+        lam[:, k + 1:] = lam[:, k + 1:] - x[k] * lam[:, k:-1]
+    for k in range(n - 2, -1, -1):
+        lam[:, k + 1:] = lam[:, k + 1:] / (x[k + 1:] - x[:n - 1 - k])
+        lam[:, k:-1] = lam[:, k:-1] - lam[:, k + 1:]
+    return lam
+
+
+def _panel_sum(z, P, kernel, poles, near_terms):
+    """Sum over the panels P of q times kernel(s, z) at each point of z.
+
+    ``poles(z, ib)`` gives the local coordinates of the kernel's poles for
+    points z and panels ib broadcast together; a pair with one within _NEAR
+    takes the 15 terms ``near_terms(z[i], ib[i])``, every other pair the plain
+    rule.  Blocks of panels hold about ``_BLOCK`` terms, and each point adds
+    its panel sums one by one in panel order."""
+    n = P["mid"].size
+    step = max(8, _BLOCK // (_XK.size * max(z.size, 1)))
+    starts = range(0, n, step)
+    pairs = [np.nonzero(np.any([np.abs(w) < _NEAR
+                                for w in poles(z[:, None], np.arange(b, min(b + step, n)))],
+                               axis=0)) for b in starts]
+    iz = np.concatenate([p[0] for p in pairs]).astype(int)
+    ib = np.concatenate([p[1] + b for p, b in zip(pairs, starts)]).astype(int)
+    near = near_terms(z[iz], ib)
+    bounds = np.cumsum([0] + [p[0].size for p in pairs])
+    out = np.zeros(z.shape, dtype=complex)
+    for k, b in enumerate(starts):
+        sl, r = slice(b, b + step), slice(bounds[k], bounds[k + 1])
+        terms = kernel(P["s"][sl], z[:, None, None]) * (P["q"][sl] * (P["half"][sl, None] * _WK))
+        terms[iz[r], ib[r] - b] = near[r]
+        sums = terms.sum(axis=2)
+        sums[:, 0] += out
+        out = np.cumsum(sums, axis=1)[:, -1]
+    return out
+
+
+def _table_edges(xs):
+    gaps = np.diff(np.arcsinh(xs))
+    if np.all(gaps <= 0.5):
+        return xs
+    split = [np.sinh(np.linspace(np.arcsinh(a), np.arcsinh(b), n + 1)[1:-1])
+             for a, b, n in zip(xs[:-1], xs[1:], np.ceil(2.0 * gaps).astype(int))]
+    return np.concatenate([np.append(a, c) for a, c in zip(xs[:-1], split)] + [xs[-1:]])
+
+
+def _power_edges(lo, hi, re_p):
+    k_lo = max(-1000, math.floor(-60.0 / max(1.0 + re_p, 0.06)))
+    k_hi = min(1000, math.ceil(60.0 / max(1.0 - re_p, 0.06)))
+    start, end = max(lo, -2.0 ** k_hi), min(hi, -2.0 ** k_lo)
+    mags = 2.0 ** (np.arange(2 * k_lo, 2 * k_hi + 1) / 2.0)
+    inner = -mags[(mags > -end) & (mags < -start)][::-1]
+    return np.concatenate(([start], inner, [end]))
+
+
+def _density_panels(parts):
+    """The panels of densities (d, lo, hi, A), A per panel that of its line
+    tail or 0, stacked in a dict of per-panel arrays: edges, midpoints,
+    half-widths, A, Kronrod nodes u in the panel variable, boundary points s
+    (u, or A/u^2 on a tail) and samples q of d times ds/du there.  Each
+    density is called once, on all its nodes."""
+    P = {"lo": np.concatenate([p[1] for p in parts]),
+         "hi": np.concatenate([p[2] for p in parts]),
+         "A": np.concatenate([p[3] for p in parts])}
+    P["mid"], P["half"] = 0.5 * (P["lo"] + P["hi"]), 0.5 * (P["hi"] - P["lo"])
+    u = P["u"] = P["mid"][:, None] + P["half"][:, None] * _XK
+    tail = P["A"] != 0.0
+    s = P["s"] = u.copy() if tail.any() else u
+    s[tail] = P["A"][tail, None] / (u[tail] * u[tail])
+    q = P["q"] = np.empty(u.shape, dtype=complex)
+    for (d, lo, _, _), end in zip(parts, np.cumsum([p[1].size for p in parts])):
+        q[end - lo.size:end] = d(s[end - lo.size:end].ravel()).reshape(-1, _XK.size)
+    q[tail] *= 2.0 * np.abs(P["A"][tail, None]) / u[tail] ** 3
+    return P
+
+
+def _line_panels(measure: BoundaryMeasure, atol: float):
+    """The panels of a line measure's densities: those in s and the tails in
+    v, each a dict as from ``_density_panels``, None where there are none."""
+    parts = []
+    for d in measure.densities:
+        desc = d.descriptor or {}
+        kind = desc.get("kind", "")
+        if kind == "table" or kind.startswith("catalog-power"):
+            edges = (_table_edges(np.asarray(desc["xs"], dtype=float)) if kind == "table"
+                     else _power_edges(*d.support, desc["p"][0]))
+            lo, hi, A = edges[:-1], edges[1:], np.zeros(edges.size - 1)
         else:
-            merged.append([u, v])
-    return [(u, v) for u, v in merged if u < v]
+            pieces = _line_pieces(*d.support)
+            refined = [_refine(d if A is None else _tail_map(d, A),
+                               np.linspace(a, b, 2 if A is None else 3),
+                               atol / len(pieces), 1e-9, 4000)[:2] + (A or 0.0,)
+                       for a, b, A in pieces]
+            lo, hi, A = (np.concatenate(c) for c in zip(*[
+                (lo, hi, np.full(lo.size, A)) for lo, hi, A in refined]))
+        parts.append((d, lo, hi, A))
+    P = _density_panels(parts) if parts else {"A": np.zeros(0)}
+    tail = P["A"] != 0.0
+    return tuple(None if not keep.any() else P if keep.all() else {k: v[keep] for k, v in P.items()}
+                 for keep in (~tail, tail))
 
 
-# Singularity subtraction (Helsing & Ojala, J. Comput. Phys. 227, 2008).  Over a
-# window around the projection x_j of an evaluation point z_j onto a support,
-# the density enters as rho(s) - rho(x_j), and rho(x_j) times the closed-form
-# integral of the kernel over the window is added back.  The remainder stays
-# bounded at the scale |Im z_j|, so neither cost nor accuracy depends on the
-# distance to the boundary.  Only points whose peak clears the support
-# endpoints by this factor are subtracted: near a singular endpoint the
-# added-back term would cancel against the quadrature tolerance.
-_CLEARANCE = 100.0
+def _line_near(P):
+    """Poles and near terms of panels in s: the pole is z, and
+    (s - z) K = 1 + s z."""
+    def poles(z, ib):
+        return [(z - P["mid"][ib]) / P["half"][ib]]
+
+    def terms(z, ib):
+        p0 = np.log(P["hi"][ib] - z) - np.log(P["lo"][ib] - z)
+        return (P["q"][ib] * _cauchy_weights(poles(z, ib)[0], p0)
+                * (1.0 + P["s"][ib] * z[:, None]))
+    return poles, terms
 
 
-def _subtracted_integrand(d, kernel, rho=None):
-    """s -> (d(s) - rho_j) K(s, z_j), one column per point; no rho, no subtraction."""
-    def integrand(s):
-        s = np.asarray(s, dtype=float)
-        dens = d(s)[:, None]
-        return (dens if rho is None else dens - rho) * kernel(s)
-    return integrand
+def _tail_near(P):
+    """Poles and near terms of tail panels in v, s = A/v^2: K has the poles
+    +-v0, v0^2 = A/z, and K = -(v^2 + A z) / (2 v0 z) (1/(v - v0) - 1/(v + v0));
+    a pole within _NEAR takes product weights, the other the plain ones."""
+    def poles(z, ib):
+        v0 = np.sqrt(P["A"][ib] / z)
+        return [(v0 - P["mid"][ib]) / P["half"][ib], (-v0 - P["mid"][ib]) / P["half"][ib]]
+
+    def terms(z, ib):
+        A, v0 = P["A"][ib], np.sqrt(P["A"][ib] / z)
+
+        def log_gap(e):
+            # log(e - v0) from (e^2 z - A) / (z (e + v0)), free of cancellation
+            # at the edge v = 1 that a tail shares with the middle piece.
+            q = (e * e * z - A) / (z * (e + v0))
+            return np.log(np.abs(q)) + 1j * np.copysign(np.abs(np.angle(q)), -v0.imag)
+
+        v, lo, hi = P["u"][ib], P["lo"][ib], P["hi"][ib]
+        lam = []
+        for w, pole, p0 in zip(poles(z, ib), (v0, -v0),
+                               (log_gap(hi) - log_gap(lo), np.log(hi + v0) - np.log(lo + v0))):
+            weights = P["half"][ib, None] * _WK / (v - pole[:, None])
+            close = np.abs(w) < _NEAR
+            weights[close] = _cauchy_weights(w[close], p0[close])
+            lam.append(weights)
+        return (P["q"][ib] * (lam[0] - lam[1])
+                * (-(v * v + A[:, None] * z[:, None]) / (2.0 * (v0 * z)[:, None])))
+    return poles, terms
 
 
-def _windowed_integrals(parts, kernel, atol, window_quad):
-    """Integral of d(s) K(s, z_j) over the support of d, one array over the
-    points j for each entry (d, windows, proj, rho, window_integral) of
-    ``parts``.
+def _measure_evaluator(measure: BoundaryMeasure, constant, atol: float):
+    """z -> c + integral of (1+sz)/(s-z) dlambda(s) on the complement of the
+    extended real line.  The densities are sampled on their panels at the
+    first call, and the samples are kept."""
+    panels = cache(lambda: _line_panels(measure, atol))
 
-    The merged windows of each density run through ``window_quad`` and the
-    gaps between them through ``quad_real_line``, all to ``atol``.  Points j
-    whose projection proj_j lies in a window and whose rho_j is nonzero are
-    subtracted there: the quadrature sees (d(s) - rho_j) K(s, z_j), and
-    rho_j * window_integral(a, b, j) is added.  The remainder is smaller than
-    the window's integral, so its tolerance is relative to the added part:
-    atol is raised to the quadratures' default rtol (1e-9) of the largest
-    added term.
-
-    The finite gaps no wider than 200, which ``quad_real_line`` passes on to
-    ``adaptive_quad``, are the rows of one ``_refine`` call across all
-    densities, each row refined as a call of its own; an integrand call
-    evaluates each of its densities once.  Only gaps are grouped: a gap holds
-    no point's peak and settles in a few panels, so sharing the calls saves
-    the per-gap overhead, while windows hold the peaks and refine deeply,
-    where the one-row loop is faster.  Windows, a lone gap, and infinite or
-    wider gaps keep a call each.  Each density adds its pieces left to right.
-    """
-    plans, gaps = [], []
-    for k, (d, windows, *_) in enumerate(parts):
-        lo, hi = d.support
-        plan, cursor = [], lo
-        for a, b in _merge_intervals(windows) + [(hi, hi)]:
-            if cursor < a:
-                plan.append((cursor, a, len(gaps)))
-                gaps.append((k, cursor, a))
-            if a < b:
-                plan.append((a, b, None))
-            cursor = b
-        plans.append(plan)
-
-    # b - a is infinite where an end is.
-    rows = [i for i, (_, a, b) in enumerate(gaps) if b - a <= 200.0]
-    if len(rows) < 2:
-        rows = []
-    gap_parts, grouped = [None] * len(gaps), set(rows)
-    for i, (k, a, b) in enumerate(gaps):
-        if i not in grouped:
-            gap_parts[i], _ = quad_real_line(_subtracted_integrand(parts[k][0], kernel),
-                                             a, b, atol=atol)
-    if rows:
-        owner = np.array([gaps[i][0] for i in rows])
-
-        def integrand(s, g):
-            dens = np.empty(s.shape, dtype=complex)
-            k = owner[g]
-            for j in sorted(set(k.tolist())):  # np.unique would import numpy.ma
-                at = k == j
-                dens[at] = parts[j][0](s[at])
-            return dens[:, None] * kernel(s)
-
-        # adaptive_quad's default rtol and panel budget, as quad_real_line's.
-        g, _, _, val, _ = _refine(integrand, np.array([gaps[i][1:] for i in rows]),
-                                  atol, 1e-9, 4000)
-        for i, part in zip(rows, _row_totals(g, val, len(rows))):
-            gap_parts[i] = part
-
-    totals = []
-    for (d, _, proj, rho, window_integral), plan in zip(parts, plans):
-        total = np.zeros(proj.shape, dtype=complex)
-        for a, b, gap in plan:
-            if gap is not None:
-                total = total + gap_parts[gap]
-                continue
-            rho_w, cols, added, tol = None, [], 0.0, atol
-            if rho is not None:
-                rho_w = np.where((a <= proj) & (proj <= b), rho, 0.0)
-                cols = np.flatnonzero(rho_w)
-                added = rho_w[cols] * window_integral(a, b, cols)
-                tol = max(atol, 1e-9 * float(np.max(np.abs(added), initial=0.0)))
-            part, _ = window_quad(_subtracted_integrand(d, kernel, rho_w), a, b, atol=tol)
-            total = total + part
-            total[cols] += added
-        totals.append(total)
-    return totals
+    def fn(z):
+        arr, scalar = _as_complex_array(z)
+        if np.any(arr.imag == 0.0):
+            raise DomainError("Cauchy transform evaluated on the real boundary")
+        flat = np.atleast_1d(arr).ravel()
+        out = np.full(flat.shape, complex(constant), dtype=complex)
+        for a in measure.atoms:
+            if math.isinf(a.loc):
+                out += a.mass * flat
+            else:
+                out += a.mass * (1.0 + a.loc * flat) / (a.loc - flat)
+        for P, near in zip(panels(), (_line_near, _tail_near)):
+            if P is not None:
+                out += _panel_sum(flat, P, lambda s, z: (1.0 + s * z) / (s - z), *near(P))
+        out = out.reshape(np.atleast_1d(arr).shape)
+        return complex(out.ravel()[0]) if scalar else out
+    return fn
 
 
 def cauchy_eval(measure: BoundaryMeasure, constant, z, *, atol: float = 1e-10):
-    """Evaluate c + integral of (1+sz)/(s-z) dlambda(s) off the extended real line."""
-    arr, scalar = _as_complex_array(z)
-    if np.any(arr.imag == 0.0):
-        raise DomainError("Cauchy transform evaluated on the real boundary")
-    flat = np.atleast_1d(arr).ravel()
-    out = np.full(flat.shape, complex(constant), dtype=complex)
-    for a in measure.atoms:
-        if math.isinf(a.loc):
-            out += a.mass * flat
-        else:
-            out += a.mass * (1.0 + a.loc * flat) / (a.loc - flat)
-    x, y = flat.real, np.abs(flat.imag)
-    points = list(zip(x.tolist(), y.tolist()))
-    peak_clear = _CLEARANCE * y
+    """Evaluate c + integral of (1+sz)/(s-z) dlambda(s) off the extended real
+    line; ``atol`` bounds the refinement of densities without a descriptor."""
+    return _measure_evaluator(measure, constant, atol)(z)
 
-    def kernel(s):
-        return (1.0 + s[:, None] * flat[None, :]) / (s[:, None] - flat[None, :])
 
-    def window_integral(u, v, cols):
-        # K = z + (1+z^2)/(s-z); Im(s - z) keeps one sign, so the principal
-        # logarithm is continuous along [u, v].
-        zc = flat[cols]
-        return zc * (v - u) + (1.0 + zc * zc) * (np.log(v - zc) - np.log(u - zc))
+def _circle_near(P):
+    """Poles and near terms of panels in the angle t: the pole t0 = -i log w,
+    2 pi k from the panel, and with d = t - t0, (t - t0) K = (e^{it} + w) d /
+    (w expm1(i d)).  The panel moves by 2 pi k, not the pole, so that the two
+    panels at the seam of a full period see the pole alike."""
+    def pole(w, ib):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t0 = -1j * np.log(w)
+            shift = 2.0 * np.pi * np.round((P["mid"][ib] - t0.real) / (2.0 * np.pi))
+            return t0, shift, (t0 - (P["mid"][ib] - shift)) / P["half"][ib]
 
-    parts = []
-    for d in measure.densities:
-        lo, hi = d.support
-        dist = np.minimum(x - lo, hi - x)
-        sub = peak_clear < dist
-        windows, rho = [], None
-        if sub.any():
-            # The window must be wide: the 1/(s - x) flank beside it has to be
-            # smooth at the scale the tail map resolves.
-            half = np.minimum(np.maximum(50.0 * y, 0.25 * (1.0 + np.abs(x))), 0.5 * dist)
-            windows = list(zip((x - half)[sub].tolist(), (x + half)[sub].tolist()))
-            rho = np.zeros(flat.shape, dtype=complex)
-            rho[sub] = d(x[sub])
-        # Unsubtracted points integrate their peak directly, in a window in the
-        # s variable covering the peak (width |Im z|) and every flank scale the
-        # tail map cannot represent, which grows like eps * (1 + x^2).
-        for (xj, yj), subtracted in zip(points, sub.tolist()):
-            w = max(50.0 * yj, 1e-13 * (1.0 + xj * xj))
-            if not subtracted and yj < 5.0 and xj + w > lo and xj - w < hi:
-                windows.append((max(lo, xj - w), min(hi, xj + w)))
-        parts.append((d, windows, x, rho, window_integral))
-    for total in _windowed_integrals(parts, kernel, atol,
-                                     partial(adaptive_quad, min_panels=4)):
-        out += total
-    out = out.reshape(np.atleast_1d(arr).shape)
-    return complex(out.ravel()[0]) if scalar else out
+    def terms(w, ib):
+        t0, k, loc = pole(w, ib)
+        p0 = np.log((P["hi"][ib] - k) - t0) - np.log((P["lo"][ib] - k) - t0)
+        d = (P["u"][ib] - k[:, None]) - t0[:, None]
+        return (P["q"][ib] * _cauchy_weights(loc, p0)
+                * (P["s"][ib] + w[:, None]) * d / (w[:, None] * np.expm1(1j * d)))
+    return (lambda w, ib: [pole(w, ib)[2]]), terms
 
 
 def _disc_herglotz_eval(measure: BoundaryMeasure, constant, atol=1e-10):
+    """w -> c + sum of the atoms + (1/2pi) integral of (e^{it}+w)/(e^{it}-w)
+    rho(t) dt off the unit circle.  The densities are sampled on their panels
+    at the first call, and the samples are kept."""
+    def build():
+        parts = []
+        for d in measure.densities:
+            lo, hi = d.support
+            start = np.linspace(lo, hi, math.ceil((hi - lo) / (np.pi / 8.0)) + 1)
+            lo, hi = _refine(d, start, atol, 1e-9, 4000)[:2]
+            parts.append((d, lo, hi, np.zeros(lo.size)))
+        if not parts:
+            return None
+        P = _density_panels(parts)
+        P["s"] = np.exp(1j * P["u"])
+        return P
+
+    panels = cache(build)
+
     def fn(z):
         z = np.asarray(z, dtype=complex)
         flat = np.atleast_1d(z).ravel()
@@ -399,50 +471,10 @@ def _disc_herglotz_eval(measure: BoundaryMeasure, constant, atol=1e-10):
         for a in measure.atoms:
             zeta = np.exp(1j * a.loc)
             out += a.mass * (zeta + flat) / (zeta - flat) / (2.0 * np.pi)
-        peak_clear = _CLEARANCE * np.abs(1.0 - np.abs(flat))
-
-        def kernel(t):
-            zeta = np.exp(1j * t)[:, None]
-            return (zeta + flat[None, :]) / (zeta - flat[None, :])
-
-        parts = []
-        for d in measure.densities:
-            lo, hi = d.support
-            theta = lo + np.mod(np.angle(flat) - lo, 2.0 * np.pi)
-
-            if hi - lo == 2.0 * np.pi:
-                # A full period has no endpoints: every point subtracts over
-                # the whole support, where the kernel integrates to exactly
-                # 2 pi (|z| < 1) or -2 pi (|z| > 1).
-                sub = np.ones(flat.shape, dtype=bool)
-                windows = [(lo, hi)]
-
-                def window_integral(u, v, cols):
-                    return np.where(np.abs(flat[cols]) < 1.0, 2.0 * np.pi, -2.0 * np.pi)
-            else:
-                dist = np.minimum(theta - lo, hi - theta)
-                sub = peak_clear < dist
-                half = np.minimum(0.5 * np.pi, 0.5 * dist)
-                windows = list(zip((theta - half)[sub].tolist(), (theta + half)[sub].tolist()))
-
-                def window_integral(u, v, cols, theta=theta):
-                    # Antiderivative -t - 2i log(e^{it} - z).  A merged window
-                    # is shorter than 2 pi; both of its sides of theta are cut
-                    # in quarters, under pi/2 each, on which arg(e^{it} - z)
-                    # turns by less than pi, so the principal log of the ratio
-                    # of the end values of each piece is its increment.
-                    tc = theta[cols]
-                    frac = np.linspace(0.0, 1.0, 5)[:, None]
-                    t = np.concatenate([u + (tc - u) * frac, tc + (v - tc) * frac[1:]])
-                    w = np.exp(1j * t) - flat[cols]
-                    return -(v - u) - 2j * np.sum(np.log(w[1:] / w[:-1]), axis=0)
-            rho = None
-            if sub.any():
-                rho = np.zeros(flat.shape, dtype=complex)
-                rho[sub] = d(theta[sub])
-            parts.append((d, windows, theta, rho, window_integral))
-        for total in _windowed_integrals(parts, kernel, atol, adaptive_quad):
-            out += total / (2.0 * np.pi)
+        P = panels()
+        if P is not None:
+            out += _panel_sum(flat, P, lambda e, w: (e + w) / (e - w),
+                              *_circle_near(P)) / (2.0 * np.pi)
         return out.reshape(np.atleast_1d(z).shape)
     return fn
 
@@ -594,7 +626,7 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
             + tuple(("point", a.loc) for a in m.atoms)
         atom_locs = np.array([a.loc for a in m.atoms if math.isfinite(a.loc)])
         return AnalyticFunction(
-            lambda z, m=m, c=c: cauchy_eval(m, c, z),
+            _measure_evaluator(m, c, 1e-10),
             "half-plane", support, True,
             {"kind": "cauchy", "measure": measure_to_json(m),
              "constant": [c.real, c.imag]},
@@ -641,8 +673,10 @@ def compose_mobius(f: AnalyticFunction, m: MobiusMatrix) -> AnalyticFunction:
     minv = m.inverse()
 
     def fn(z):
-        z = np.asarray(z, dtype=complex)
-        return f.fn((m.a * z + m.b) / (m.c * z + m.d))
+        w = mobius_apply_values(m, z)
+        if not np.all(np.isfinite(w)):
+            raise DomainError("the image of a point under the matrix overflows the doubles")
+        return f.fn(w)
 
     support = []
     for entry in f.boundary_support:

@@ -73,9 +73,8 @@ def circle_measure_functional(phi: AnalyticFunction, r: float,
                               test: TestFunction, *, atol: float = 1e-11) -> complex:
     """Pair the circle measure at radius r with an angle test function.
 
-    The measure's density is (phi(r e^{it}) - phi(e^{it}/r)) / 2, and each
-    quadrature node evaluates phi at the pair of mirror points in one call
-    (``_with_reflection``), so a measure evaluator refines once for both.
+    The measure's density is (phi(r e^{it}) - phi(e^{it}/r)) / 2, the mirror
+    points from ``_with_reflection``.
     The integrand is 2 pi-periodic in t, so a test support no longer than a
     period is integrated where it lies, even across +-pi; a wider one is
     integrated over [-pi, pi].

@@ -43,8 +43,7 @@ _INFINITY_SCHEDULE = LimitSchedule(y0=0.25, ratio=0.5, steps=14)
 
 
 def _plus_minus_difference(f: AnalyticFunction, x, y: float):
-    """f(x + iy) - f(x - iy), both sides from one call (``_with_reflection``),
-    so a measure evaluator refines one quadrature for the pair."""
+    """f(x + iy) - f(x - iy), the lower side by ``_with_reflection``."""
     upper, lower = _with_reflection(f, np.asarray(x, dtype=float) + 1j * y)
     return upper - lower
 

@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "adaptive_quad",
     "quad_real_line",
-    "quad_power_weighted_zero",
 ]
 
 # 15-point Kronrod abscissae on [-1, 1]; the embedded 7-point Gauss nodes are
@@ -298,28 +297,33 @@ def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = 1e-10,
 _TAIL_START = 8.0
 
 
-def _quad_tail(f: Callable, lo: float, hi: float, *, atol, rtol, max_panels):
-    """One-signed far tail via the inverse-square map s = A / v^2.
-
-    With A the endpoint of smaller magnitude, v runs over (0, 1] and algebraic
-    tails ~ |s|^(-3/2) become polynomial in v, so the rule converges fast where
-    the angle compactification would crawl.
-    """
-    if hi <= -_TAIL_START:
-        A = hi
-        v_lo = 0.0 if math.isinf(lo) else math.sqrt(hi / lo)
-    else:
-        A = lo
-        v_lo = 0.0 if math.isinf(hi) else math.sqrt(lo / hi)
-
+def _tail_map(f: Callable, A: float) -> Callable:
+    """f's far tail in v under s = A / v^2, v in (0, 1], A the end of smaller
+    magnitude: algebraic tails ~ |s|^(-3/2) become polynomial in v, where the
+    angle compactification would crawl."""
     def g(v):
         s = A / (v * v)
         vals = np.asarray(f(s), dtype=complex)
         w = 2.0 * abs(A) / (v * v * v)
         return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))
+    return g
 
-    return adaptive_quad(g, v_lo, 1.0, atol=atol, rtol=rtol,
-                         max_panels=max_panels, min_panels=2)
+
+def _line_pieces(lo: float, hi: float) -> list:
+    """The pieces ``quad_real_line`` integrates lo < hi in: (a, b, A), the
+    interval (a, b) on the panel rule directly when A is None, else the v
+    interval of a one-signed tail under ``_tail_map`` with that A."""
+    if math.isfinite(lo) and math.isfinite(hi) and (hi - lo) <= 200.0:
+        return [(lo, hi, None)]
+    if hi <= -_TAIL_START:
+        return [(0.0 if math.isinf(lo) else math.sqrt(hi / lo), 1.0, hi)]
+    if lo >= _TAIL_START:
+        return [(0.0 if math.isinf(hi) else math.sqrt(lo / hi), 1.0, lo)]
+    # Far tails plus a direct middle piece.
+    cut_lo, cut_hi = max(lo, -_TAIL_START), min(hi, _TAIL_START)
+    pieces = _line_pieces(lo, cut_lo) if lo < cut_lo else []
+    pieces += _line_pieces(cut_lo, cut_hi)
+    return pieces + (_line_pieces(cut_hi, hi) if hi > cut_hi else [])
 
 
 def quad_real_line(f: Callable, lo: float = -math.inf, hi: float = math.inf, *,
@@ -328,7 +332,8 @@ def quad_real_line(f: Callable, lo: float = -math.inf, hi: float = math.inf, *,
     """Integrate f over an interval of the extended real line.
 
     Moderate finite intervals go to the panel rule directly; far tails go
-    through the inverse-square map.
+    through the inverse-square map, starting from two panels.  A split
+    interval gives each piece an equal share of atol.
     """
     if lo == hi:
         return _zero(f)
@@ -336,45 +341,26 @@ def quad_real_line(f: Callable, lo: float = -math.inf, hi: float = math.inf, *,
         val, err = quad_real_line(f, hi, lo, atol=atol, rtol=rtol,
                                   max_panels=max_panels)
         return -val, err
-    if math.isfinite(lo) and math.isfinite(hi) and (hi - lo) <= 200.0:
-        return adaptive_quad(f, lo, hi, atol=atol, rtol=rtol,
-                             max_panels=max_panels)
-    if hi <= -_TAIL_START or lo >= _TAIL_START:
-        return _quad_tail(f, lo, hi, atol=atol, rtol=rtol, max_panels=max_panels)
-    # Split into far tails plus a direct middle piece.
-    total = None
-    total_err = 0.0
-    cut_lo = max(lo, -_TAIL_START)
-    cut_hi = min(hi, _TAIL_START)
-    pieces = []
-    if lo < cut_lo:
-        pieces.append((lo, cut_lo))
-    pieces.append((cut_lo, cut_hi))
-    if hi > cut_hi:
-        pieces.append((cut_hi, hi))
-    for u, v in pieces:
-        val, err = quad_real_line(f, u, v, atol=atol / len(pieces), rtol=rtol,
-                                  max_panels=max_panels)
+    pieces = _line_pieces(lo, hi)
+    total, total_err = None, 0.0
+    for a, b, A in pieces:
+        val, err = adaptive_quad(f if A is None else _tail_map(f, A), a, b,
+                                 atol=atol / len(pieces), rtol=rtol,
+                                 max_panels=max_panels, min_panels=1 if A is None else 2)
         total = val if total is None else total + val
         total_err += err
     return total, total_err
 
 
-def quad_power_weighted_zero(g: Callable, delta: float, m: int = 1, *,
-                             atol: float = 1e-10, rtol: float = 1e-9):
-    """Improper integral of y^m g(y) over (0, delta] for g bounded near 0.
+def _power_weighted_zero(g: Callable, delta: float, m: int, n_rows: int, *,
+                         atol: float, rtol: float):
+    """Improper integrals of y^m g(y, r) over (0, delta] for the ``n_rows``
+    rows r, g bounded near 0, each row refined to its own tolerance: the
+    values (n_rows, ...) and errors (n_rows,) of the rows.
 
     The substitution y = delta*u^2 concentrates nodes at the lower endpoint,
     where g is bounded but need not be smooth.
     """
-    return _power_weighted_zero(g, delta, m, None, atol=atol, rtol=rtol)
-
-
-def _power_weighted_zero(g: Callable, delta: float, m: int, n_rows, *,
-                         atol: float, rtol: float):
-    """``quad_power_weighted_zero`` of g(y), or with ``n_rows`` rows of
-    g(y, r), r < n_rows, each refined to its own tolerance: then the values
-    (n_rows, ...) and errors (n_rows,) of the rows."""
     if delta <= 0:
         raise ValueError("delta must be positive")
 
@@ -384,9 +370,6 @@ def _power_weighted_zero(g: Callable, delta: float, m: int, n_rows, *,
         w = (y ** m) * (2.0 * delta * u)
         return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))
 
-    if n_rows is None:
-        return adaptive_quad(h, 0.0, 1.0, atol=atol, rtol=rtol,
-                             max_panels=2000, min_panels=2)
     edges = np.broadcast_to(np.linspace(0.0, 1.0, 3), (n_rows, 3))
     rows, _, _, val, err = _refine(h, edges, atol, rtol, 2000)
     return _row_totals(rows, val, n_rows), _row_totals(rows, err, n_rows)

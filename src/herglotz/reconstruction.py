@@ -153,18 +153,6 @@ def _window_truncated(f: AnalyticFunction, lo: float, hi: float) -> bool:
     return False
 
 
-def _integrates_measure(f: AnalyticFunction) -> bool:
-    """Whether f is evaluated by quadrature over a measure: a cauchy or
-    disc_herglotz catalog function, or one built from it by an operation that
-    keeps the descriptor as its "base"."""
-    d = f.descriptor
-    while d is not None:
-        if d.get("kind") in ("cauchy", "disc_herglotz"):
-            return True
-        d = d.get("base")
-    return False
-
-
 def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> ReconstructionResult:
     """Recover density table, atoms, and constant for f over the scan window."""
     lo, hi = spec.window
@@ -194,41 +182,32 @@ def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> Reconstruction
     pieces = [(u, v) for u, v in zip(cut_points[::2], cut_points[1::2]) if u < v]
 
     # Every piece's nodes first; then the scan and the density tableau run
-    # over batches of pieces, split back per piece.  The tableau works column
-    # by column, so with a pointwise evaluator one batch of every piece gives
-    # each piece exactly the values a call of its own gives.  An evaluator
-    # that integrates a measure refines its quadrature for all points of a
-    # call together, at a cost of windows x points that would grow with the
-    # number of pieces, so there every piece is a batch of its own.
+    # over all pieces in one batch, split back per piece.  The tableau works
+    # column by column and every evaluator is batch invariant, so each piece
+    # gets exactly the values a call of its own gives.
     blocks = [_piece_blocks(u, v) for u, v in pieces]
     piece_xs = [np.unique(np.concatenate([_lobatto_arctan(blo, bhi, spec.nodes_per_block)
                                           for blo, bhi in bs])) for bs in blocks]
     density_parts = []
     max_density_err = 0.0
     if pieces:
-        n = len(pieces)
-        batches = ([slice(k, k + 1) for k in range(n)] if _integrates_measure(f)
-                   else [slice(0, n)])
         scan_nx = int(max(9, min(61, 4000 / sum(map(len, blocks)))))
         us, vs = np.array(pieces).T
-        betas = np.concatenate([sup_abs_growth(f, us[b], vs[b], nx=scan_nx, ny=9)
-                                for b in batches])
+        betas = sup_abs_growth(f, us, vs, nx=scan_nx, ny=9)
         # A singularity between scan abscissae escapes the grid; the catalog's
         # kinks inside a piece get a column of their own.
         kinks = [_interior_kinks(f, u, v) for u, v in pieces]
         if any(kinks):
             ks = np.concatenate(kinks)
-            owner = np.repeat(np.arange(n), [len(k) for k in kinks])
+            owner = np.repeat(np.arange(len(pieces)), [len(k) for k in kinks])
             np.maximum.at(betas, owner, sup_abs_growth(f, ks, ks, nx=1, ny=9))
         for (u, v), beta in zip(pieces, betas):
             if beta > 1.35:
                 raise NonSimpleBehaviorError(
                     f"density scan piece [{u}, {v}]: |f| grows like y^-{beta:.2f}")
-        tables = []
-        for b in batches:
-            vals, errs = density_grid(f, np.concatenate(piece_xs[b]), spec.schedule)
-            max_density_err = max(max_density_err, float(np.max(errs)))
-            tables += np.split(vals, np.cumsum([len(xs) for xs in piece_xs[b]])[:-1])
+        vals, errs = density_grid(f, np.concatenate(piece_xs), spec.schedule)
+        max_density_err = max(max_density_err, float(np.max(errs)))
+        tables = np.split(vals, np.cumsum([len(xs) for xs in piece_xs])[:-1])
         density_parts = _table_densities(piece_xs, tables)
 
     constant = 0.5 * (f(1j) + f(-1j))

@@ -118,13 +118,18 @@ def mobius_apply(m: MobiusMatrix, p) -> SpherePoint:
 
 
 def mobius_apply_values(m: MobiusMatrix, z):
-    """Plain (az+b)/(cz+d) on complex scalars or arrays.
+    """(az+b)/(cz+d) on complex scalars or arrays.
 
     Intended for points off the real line, where cz+d cannot vanish for a real
-    invertible matrix; no pole handling is performed.
+    invertible matrix.  A quotient that is not finite is recomputed as
+    (a + b/z)/(c + d/z), as in ``mobius_apply``, and left as it then comes.
     """
     z = np.asarray(z, dtype=complex)
-    return (m.a * z + m.b) / (m.c * z + m.d)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.asarray((m.a * z + m.b) / (m.c * z + m.d))
+        redo = ~np.isfinite(out) & (z != 0)
+        out[redo] = (m.a + m.b / z[redo]) / (m.c + m.d / z[redo])
+    return out
 
 
 def cayley_to_disc(w) -> SpherePoint:

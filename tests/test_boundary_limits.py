@@ -13,7 +13,7 @@ from herglotz import (CatalogSpec, MobiusMatrix, TestFunction, boundary_function
 from herglotz.boundary_limits import _barycentric, _corners
 from herglotz.catalog import _interior_kinks, compose_mobius
 from herglotz.errors import NonSimpleBehaviorError, SpecError
-from herglotz.quadrature import _lobatto, adaptive_quad, quad_power_weighted_zero
+from herglotz.quadrature import _lobatto, _power_weighted_zero, adaptive_quad
 from herglotz.extraction import sup_abs_growth
 from herglotz.testing import constant_one, smooth_bump
 
@@ -95,9 +95,9 @@ def test_boundary_functional_rejects_wild_growth():
 
 
 def _corners_per_point(f, xs, delta, m, sgn, atol):
-    """The loop that _corners replaced: one quad_power_weighted_zero per point."""
-    return np.array([quad_power_weighted_zero(lambda y: f(x + sgn * 1j * y), delta, m,
-                                              atol=atol)[0] for x in xs.tolist()])
+    """The loop that _corners replaced: one one-row refinement per point."""
+    return np.array([_power_weighted_zero(lambda y, r: f(x + sgn * 1j * y), delta, m, 1,
+                                          atol=atol, rtol=1e-9)[0][0] for x in xs.tolist()])
 
 
 @pytest.mark.parametrize("sgn", [1.0, -1.0])
@@ -219,8 +219,8 @@ def _phi_per_node(f, a, b, delta, side, nodes=129, atol=1e-11):
         return adaptive_quad(lambda x: (x + iy - t) * f(x + iy), t, b, atol=atol)[0]
 
     def e(t):
-        return quad_power_weighted_zero(lambda y: f(t + sgn * 1j * y), delta, 1,
-                                        atol=atol)[0]
+        return _power_weighted_zero(lambda y, r: f(t + sgn * 1j * y), delta, 1, 1,
+                                    atol=atol, rtol=1e-9)[0][0]
 
     s1, e_a, e_b = p(a), e(a), e(b)
     vals = [p(t) - (b - t) / (b - a) * s1 + (t - a) / (b - a) * e_b
