@@ -212,7 +212,7 @@ def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
     # int_t^b for every node t from one reverse cumulative sum over the panels:
     # T0 = int (x - a + i delta) f and T1 = (b - a) int f, so
     # p = T0 - (t - a)/(b - a) T1, both columns with weight at most 1.
-    lo, _, val, _ = _refine(line, ts, atol, 1e-9, 4000 + ts.size)
+    _, lo, _, val, _ = _refine(lambda x, g: line(x), ts[None], atol, 1e-9, 4000 + ts.size)
     tail = np.concatenate((np.cumsum(val[::-1], axis=0)[::-1],
                            np.zeros((1, 2))))[np.searchsorted(lo, ts)]
     w_b = (ts - a) / (b - a)

@@ -338,9 +338,10 @@ def _line_panels(measure: BoundaryMeasure, atol: float):
             lo, hi, A = edges[:-1], edges[1:], np.zeros(edges.size - 1)
         else:
             pieces = _line_pieces(*d.support)
-            refined = [_refine(d if A is None else _tail_map(d, A),
-                               np.linspace(a, b, 2 if A is None else 3),
-                               atol / len(pieces), 1e-9, 4000)[:2] + (A or 0.0,)
+            row = lambda x, g: d(x)
+            refined = [_refine(row if A is None else _tail_map(row, A),
+                               np.linspace(a, b, 2 if A is None else 3)[None],
+                               atol / len(pieces), 1e-9, 4000)[1:3] + (A or 0.0,)
                        for a, b, A in pieces]
             lo, hi, A = (np.concatenate(c) for c in zip(*[
                 (lo, hi, np.full(lo.size, A)) for lo, hi, A in refined]))
@@ -454,7 +455,7 @@ def _disc_herglotz_eval(measure: BoundaryMeasure, constant, atol=1e-10):
         for d in measure.densities:
             lo, hi = d.support
             start = np.linspace(lo, hi, math.ceil((hi - lo) / (np.pi / 8.0)) + 1)
-            lo, hi = _refine(d, start, atol, 1e-9, 4000)[:2]
+            lo, hi = _refine(lambda x, g: d(x), start[None], atol, 1e-9, 4000)[1:3]
             parts.append((d, lo, hi, np.zeros(lo.size)))
         if not parts:
             return None

@@ -25,7 +25,7 @@ from .catalog import _INVERSION, AnalyticFunction, _with_reflection, invert_vari
 from .errors import SpecError
 from .extrapolation import ExtrapolatedLimit, LimitSchedule
 from .measures import TestFunction, _image_pieces
-from .quadrature import adaptive_quad, quad_real_line
+from .quadrature import _quad_rows
 from .sphere import cayley_to_halfplane_values
 
 __all__ = [
@@ -69,6 +69,25 @@ def to_disc(f: AnalyticFunction) -> AnalyticFunction:
                             {"kind": "disc-companion", "base": f.descriptor})
 
 
+def _circle_rows(phi: AnalyticFunction, rs: np.ndarray, test: TestFunction,
+                 atol: float) -> np.ndarray:
+    """``circle_measure_functional`` at each radius of rs, the radii as rows
+    of one refinement."""
+    if not np.all((0.0 < rs) & (rs < 1.0)):
+        raise SpecError("require 0 < r < 1")
+    if phi.picture != "disc":
+        raise SpecError("circle_measure_functional expects a disc function")
+
+    def integrand(t, g):
+        inner, outer = _with_reflection(phi, rs[g] * np.exp(1j * t))
+        return test(t) * 0.5 * (inner - outer)
+
+    lo, hi = test.support
+    if hi - lo > 2.0 * math.pi:
+        lo, hi = -math.pi, math.pi
+    return _quad_rows(integrand, lo, hi, rs.size, atol=atol)[0]
+
+
 def circle_measure_functional(phi: AnalyticFunction, r: float,
                               test: TestFunction, *, atol: float = 1e-11) -> complex:
     """Pair the circle measure at radius r with an angle test function.
@@ -79,29 +98,14 @@ def circle_measure_functional(phi: AnalyticFunction, r: float,
     period is integrated where it lies, even across +-pi; a wider one is
     integrated over [-pi, pi].
     """
-    if not 0.0 < r < 1.0:
-        raise SpecError("require 0 < r < 1")
-    if phi.picture != "disc":
-        raise SpecError("circle_measure_functional expects a disc function")
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        inner, outer = _with_reflection(phi, r * np.exp(1j * t))
-        return test(t) * 0.5 * (inner - outer)
-
-    lo, hi = test.support
-    if hi - lo > 2.0 * math.pi:
-        lo, hi = -math.pi, math.pi
-    val, _ = adaptive_quad(integrand, lo, hi, atol=atol)
-    return complex(val)
+    return complex(_circle_rows(phi, np.array([r], dtype=float), test, atol)[0])
 
 
 def circle_limit(phi: AnalyticFunction, test: TestFunction,
                  rsched: RadiusSchedule = RadiusSchedule(), *,
                  atol: float = 1e-11) -> ExtrapolatedLimit:
     """Weak* limit of the circle measures against a test function, r -> 1."""
-    return rsched.limit(lambda gap: circle_measure_functional(phi, 1.0 - gap, test,
-                                                              atol=atol))
+    return rsched.limit(lambda gaps: _circle_rows(phi, 1.0 - gaps, test, atol))
 
 
 @dataclass(frozen=True)
@@ -146,28 +150,27 @@ def _inner_circle_side(f: AnalyticFunction, test: TestFunction,
     lo, hi = test.support
     ta, tb = 2.0 * math.atan(lo), 2.0 * math.atan(hi)
 
-    def sample(gap):
-        def integrand(t):
-            t = np.asarray(t, dtype=float)
-            return test(np.tan(0.5 * t)) * disc((1.0 - gap) * np.exp(1j * t))
-        return adaptive_quad(integrand, ta, tb, atol=atol)[0]
+    def sample(gaps):
+        def integrand(t, g):
+            return test(np.tan(0.5 * t)) * disc((1.0 - gaps[g]) * np.exp(1j * t))
+        return _quad_rows(integrand, ta, tb, gaps.size, atol=atol)[0]
 
     return rsched.limit(sample)
 
 
-def _line_integrand(f: AnalyticFunction, test: TestFunction, y: float):
-    """s -> test(s) f(s + iy) 2/(1+s^2), the half-plane side of the chart change."""
-    def integrand(s):
-        s = np.asarray(s, dtype=float)
-        return test(s) * f(s + 1j * y) * 2.0 / (1.0 + s * s)
+def _line_integrand(f: AnalyticFunction, test: TestFunction, ys: np.ndarray):
+    """(s, g) -> test(s) f(s + i ys[g]) 2/(1+s^2), the half-plane side of the
+    chart change at the heights ys."""
+    def integrand(s, g):
+        return test(s) * f(s + 1j * ys[g]) * 2.0 / (1.0 + s * s)
     return integrand
 
 
 def _line_side(f: AnalyticFunction, test: TestFunction, sched: LimitSchedule,
                atol: float) -> ExtrapolatedLimit:
     lo, hi = test.support
-    return sched.limit(
-        lambda y: -1j * quad_real_line(_line_integrand(f, test, y), lo, hi, atol=atol)[0])
+    return sched.limit(lambda ys: -1j * _quad_rows(_line_integrand(f, test, ys), lo, hi,
+                                                   ys.size, atol=atol)[0])
 
 
 def consistency_gap(f: AnalyticFunction, test: TestFunction,
@@ -221,11 +224,10 @@ def inversion_duality_gap(f: AnalyticFunction, test: TestFunction,
     tilde_test = _transport_inversion(test)
 
     def side(fn, tst):
-        def sample(y):
-            def integrand(x):
-                x = np.asarray(x, dtype=float)
-                return tst(x) * fn(x + 1j * y) / (1.0 + x * x)
-            return quad_real_line(integrand, *tst.support, atol=atol)[0]
+        def sample(ys):
+            def integrand(x, g):
+                return tst(x) * fn(x + 1j * ys[g]) / (1.0 + x * x)
+            return _quad_rows(integrand, *tst.support, ys.size, atol=atol)[0]
         return sched.limit(sample)
 
     lhs = side(f, test)
@@ -249,9 +251,10 @@ def joined_distribution_check(f: AnalyticFunction, test: TestFunction,
     tilde_f = invert_variable(f)
     tilde_test = _transport_inversion(test)
 
-    def line_sample(y):
-        v1, _ = adaptive_quad(_line_integrand(f, test, y), -1.0, 1.0, atol=atol)
-        v2, _ = adaptive_quad(_line_integrand(tilde_f, tilde_test, y), -1.0, 1.0, atol=atol)
+    def line_sample(ys):
+        v1, _ = _quad_rows(_line_integrand(f, test, ys), -1.0, 1.0, ys.size, atol=atol)
+        v2, _ = _quad_rows(_line_integrand(tilde_f, tilde_test, ys), -1.0, 1.0, ys.size,
+                           atol=atol)
         return -1j * (v1 + v2)
 
     line = sched.limit(line_sample)

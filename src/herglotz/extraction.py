@@ -5,10 +5,10 @@ The central functional is the line inversion
     lim_{y -> +0}  integral  test(x) (f(x+iy) - f(x-iy)) / (2 pi i (1+x^2)) dx,
 
 which recovers the finite-line part of a representing measure (the mass at
-infinity is invisible to it and is produced separately from f(iy)/y).  For
-each height the x-integral is evaluated adaptively first and heights are then
-Neville-extrapolated, so limits and integrals are taken in the functional's
-own order.
+infinity is invisible to it and is produced separately from f(iy)/y).  The
+x-integrals of all heights are evaluated adaptively first, as the rows of one
+refinement, and the heights are then Neville-extrapolated, so limits and
+integrals are taken in the functional's own order.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .errors import NonSimpleBehaviorError, SpecError
 from .extrapolation import (ExtrapolatedLimit, LimitSchedule, _limit_rows, best_limit,
                             diverged, limit_from_samples)
 from .measures import TestFunction, _image_pieces
-from .quadrature import quad_real_line
+from .quadrature import _quad_rows
 
 __all__ = [
     "PolarGrid",
@@ -42,7 +42,7 @@ __all__ = [
 _INFINITY_SCHEDULE = LimitSchedule(y0=0.25, ratio=0.5, steps=14)
 
 
-def _plus_minus_difference(f: AnalyticFunction, x, y: float):
+def _plus_minus_difference(f: AnalyticFunction, x, y):
     """f(x + iy) - f(x - iy), the lower side by ``_with_reflection``."""
     upper, lower = _with_reflection(f, np.asarray(x, dtype=float) + 1j * y)
     return upper - lower
@@ -58,12 +58,11 @@ def extract_functional(f: AnalyticFunction, test: TestFunction,
     """
     lo, hi = test.support
 
-    def sample(y):
-        def integrand(x):
-            x = np.asarray(x, dtype=float)
-            return test(x) * _plus_minus_difference(f, x, y) \
+    def sample(ys):
+        def integrand(x, g):
+            return test(x) * _plus_minus_difference(f, x, ys[g]) \
                 / (2j * np.pi * (1.0 + x * x))
-        return quad_real_line(integrand, lo, hi, atol=atol)[0]
+        return _quad_rows(integrand, lo, hi, ys.size, atol=atol)[0]
 
     return sched.limit(sample)
 

@@ -42,10 +42,15 @@ class LimitSchedule:
     def heights(self) -> np.ndarray:
         return self.y0 * self.ratio ** np.arange(self.steps)
 
-    def limit(self, sample: Callable[[float], complex]) -> ExtrapolatedLimit:
-        """Extrapolate sample(y) from the schedule's heights to y = 0."""
+    def limit(self, sample: Callable[[np.ndarray], np.ndarray]) -> ExtrapolatedLimit:
+        """Extrapolate the samples from the schedule's heights to y = 0.
+
+        ``sample`` is called once, on the array of heights, and returns one
+        value per height, so that the heights of a limit can be the rows of
+        one refinement.
+        """
         ys = self.heights
-        return limit_from_samples(ys, [sample(y) for y in ys], order=self.order)
+        return limit_from_samples(ys, sample(ys), order=self.order)
 
 
 def diverged(value, err, tol: float = DIVERGENCE_FACTOR):

@@ -195,11 +195,13 @@ def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> Reconstruction
         us, vs = np.array(pieces).T
         betas = sup_abs_growth(f, us, vs, nx=scan_nx, ny=9)
         # A singularity between scan abscissae escapes the grid; the catalog's
-        # kinks inside a piece get a column of their own.
-        kinks = [_interior_kinks(f, u, v) for u, v in pieces]
-        if any(kinks):
-            ks = np.concatenate(kinks)
-            owner = np.repeat(np.arange(len(pieces)), [len(k) for k in kinks])
+        # kinks inside a piece get a column of their own.  The pieces are
+        # sorted and disjoint, so one call over the window finds them all.
+        ks = np.array(_interior_kinks(f, lo, hi))
+        owner = np.searchsorted(us, ks) - 1  # the last piece starting below each kink
+        inside = (owner >= 0) & (ks < vs[owner])
+        ks, owner = ks[inside], owner[inside]
+        if ks.size:
             np.maximum.at(betas, owner, sup_abs_growth(f, ks, ks, nx=1, ny=9))
         for (u, v), beta in zip(pieces, betas):
             if beta > 1.35:

@@ -74,12 +74,14 @@ def density_points(monkeypatch):
 
 @pytest.fixture
 def function_points(monkeypatch):
-    """Points handed to ``AnalyticFunction.__call__`` while the test runs."""
-    seen = {"points": 0}
+    """Points handed to ``AnalyticFunction.__call__`` and the number of its
+    calls while the test runs."""
+    seen = {"points": 0, "calls": 0}
     call = catalog.AnalyticFunction.__call__
 
     def counted(self, z):
         seen["points"] += np.size(z)
+        seen["calls"] += 1
         return call(self, z)
 
     monkeypatch.setattr(catalog.AnalyticFunction, "__call__", counted)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from herglotz import (Atom, BoundaryMeasure, CatalogSpec, LimitSchedule,
@@ -207,3 +208,27 @@ def test_sup_abs_growth_batched_matches_scalar(tan_fn, minus_inverse):
     # a pole inside the interval is a y^-1 growth, and only there
     betas = sup_abs_growth(minus_inverse, us, vs)
     assert abs(betas[1] - 1.0) < 0.05 and np.all(np.abs(np.delete(betas, 1)) < 0.05)
+
+
+_GRID_FUNCTIONS = [CatalogSpec("tan"), CatalogSpec("power", {"p": 0.5}),
+                   CatalogSpec("power", {"p": 0.4 + 0.2j}),
+                   CatalogSpec("rational", {"a": 0, "b": 0, "poles": [0.0], "coeffs": [1.0]})]
+# Points of mixed magnitudes: a sign, a mantissa in [1, 10) and an exponent.
+_MIXED = st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.99),
+                            st.integers(-6, 6)), min_size=1, max_size=12)
+
+
+@settings(max_examples=20)
+@given(st.integers(0, len(_GRID_FUNCTIONS) - 1), _MIXED)
+def test_grid_batches_equal_their_point_by_point_calls(which, drawn):
+    # reconstruct splits one density_grid and one atomic_mass_batch back per
+    # piece, which relies on every column being computed as if alone.
+    f = catalog_build(_GRID_FUNCTIONS[which])
+    xs = np.array([s * m * 10.0 ** e for s, m, e in drawn])
+    with np.errstate(all="ignore"):
+        for batch in (density_grid, atomic_mass_batch):
+            got = batch(f, xs)
+            for i, x in enumerate(xs):
+                one = batch(f, xs[i:i + 1])
+                for g, w in zip(got, one):
+                    assert np.array_equal(g[i:i + 1].view(np.uint64), w.view(np.uint64))

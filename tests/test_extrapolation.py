@@ -55,7 +55,7 @@ def test_diverged_counts_nan_as_divergent():
     got = diverged(np.array([1.0, np.nan, 2.0, 0.0]), np.array([0.0, 0.0, np.nan, 1.0]),
                    tol=0.5)
     assert got.tolist() == [False, True, True, True]
-    assert not LimitSchedule().limit(lambda y: np.nan * 1j).converged
+    assert not LimitSchedule().limit(lambda ys: np.full(ys.shape, np.nan * 1j)).converged
 
 
 def test_schedule_limit_matches_samples():

@@ -127,10 +127,12 @@ def test_line_panel_count(evaluated):
 
 
 def test_wide_initial_split_is_chunked(evaluated):
-    val, _ = adaptive_quad(lambda x: np.exp(1j * x), 0.0, 10.0, min_panels=50)
+    rows, _, _, val, _ = quadrature._refine(lambda x, g: np.exp(1j * x),
+                                            np.linspace(0.0, 10.0, 51)[None], 1e-10, 1e-9, 4000)
     assert evaluated["calls"][:7] == [120] * 6 + [30]
     assert max(evaluated["calls"]) <= 120
-    assert abs(val - (np.exp(10j) - 1.0) / 1j) < 1e-12
+    total = quadrature._row_totals(rows, val, 1)[0]
+    assert abs(total - (np.exp(10j) - 1.0) / 1j) < 1e-12
 
 
 @pytest.mark.parametrize("max_panels", [1, 2, 5, 30, 101])
@@ -174,11 +176,13 @@ def _check_tiling(edges, lo, hi, val, err):
 
 def test_refine_tiles_and_keeps_initial_edges():
     edges = np.array([-1.0, -0.3, 0.2999, 0.3, 0.31, 1.0])
-    pole = lambda x: 1.0 / (x - 0.3 - 1e-6j)
-    _check_tiling(edges, *quadrature._refine(pole, edges, 1e-10, 1e-9, 4000))
+    pole = lambda x, g: 1.0 / (x - 0.3 - 1e-6j)
+    rows, *panels = quadrature._refine(pole, edges[None], 1e-10, 1e-9, 4000)
+    assert not rows.any()
+    _check_tiling(edges, *panels)
     # Rows come back ordered by row, each tiling its own edges.
     grid = np.stack((edges, 2.0 * edges + 0.6))
-    rows, *panels = quadrature._refine(lambda x, g: pole(x), grid, 1e-10, 1e-9, 4000)
+    rows, *panels = quadrature._refine(pole, grid, 1e-10, 1e-9, 4000)
     assert np.all(np.diff(rows) >= 0)
     for i, row_edges in enumerate(grid):
         _check_tiling(row_edges, *(p[rows == i] for p in panels))
@@ -186,6 +190,52 @@ def test_refine_tiles_and_keeps_initial_edges():
 
 # ---------------------------------------------------------------------------
 # Grouped refinement: each row refines as a call of its own
+
+
+def _refine_one_row(f, edges, atol, rtol, max_panels):
+    """The one-row refinement loop that ``quadrature._refine`` replaced, kept
+    as its reference: integrand f(x) on the 1-D ``edges``; returns the final
+    panels (lo, hi, values, errors) in interval order."""
+    def panels(lo, hi):
+        return quadrature._panels(lambda x, g: f(x), lo, hi, np.zeros(lo.size, dtype=int))
+
+    def bisect(lo, hi):
+        return quadrature._bisect(lambda x, g: f(x), lo, hi, np.zeros(lo.size, dtype=int))[:4]
+
+    lo, hi = edges[:-1], edges[1:]
+    val, err = panels(lo, hi)
+    live = np.ones(lo.size, dtype=bool)
+    while True:
+        tol = max(atol, rtol * float(np.max(np.abs(val.sum(axis=0)))))
+        total_err = float(err[live].sum())
+        room = max_panels - lo.size
+        if not (total_err > tol and room > 0):
+            break
+        order = np.flatnonzero(live)
+        order = order[np.lexsort((-err[order],))]
+        take = order[:np.searchsorted(np.cumsum(err[order]), total_err - tol) + 1]
+        mid = 0.5 * (lo[take] + hi[take])
+        ok = (lo[take] < mid) & (mid < hi[take])
+        live[take[~ok]] = False
+        split = take[ok][:room]
+        if not split.size:
+            continue
+        lead = split.size
+        if lead > 1 and err[split[0]] > err[split[1:]].sum():
+            lead = 1
+        kids = bisect(lo[split[:lead]], hi[split[:lead]])
+        if lead < split.size and np.max(kids[3]) <= err[split[lead]]:
+            rest = bisect(lo[split[lead:]], hi[split[lead:]])
+            kids = tuple(np.concatenate(p) for p in zip(kids, rest))
+        else:
+            split = split[:lead]
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        lo, hi, val, err = (np.concatenate((old[keep], kid))
+                            for old, kid in zip((lo, hi, val, err), kids))
+        live = np.concatenate((live[keep], np.ones(kids[0].size, dtype=bool)))
+    order = np.argsort(lo)
+    return lo[order], hi[order], val[order], err[order]
 
 
 def _row_integrand(kind, p, q):
@@ -232,9 +282,13 @@ def test_rows_refine_as_calls_of_their_own(drawn, two_columns):
     with np.errstate(all="ignore"):
         rows, *panels = quadrature._refine(grouped, edges, 1e-10, 1e-9, 200)
         for i, fn in enumerate(fns):
-            alone = quadrature._refine(fn, edges[i], 1e-10, 1e-9, 200)
-            for got, want in zip(panels, alone):
-                assert np.array_equal(_bits(got[rows == i]), _bits(want))
+            want = _refine_one_row(fn, edges[i], 1e-10, 1e-9, 200)
+            one_rows, *one = quadrature._refine(lambda x, g: fn(x), edges[i:i + 1],
+                                                1e-10, 1e-9, 200)
+            assert not one_rows.any()
+            for got, single, ref in zip(panels, one, want):
+                assert np.array_equal(_bits(got[rows == i]), _bits(ref))
+                assert np.array_equal(_bits(single), _bits(ref))
     lo, hi, _, err = panels
     assert np.sum(rows == 0) == 200
     assert np.isnan(err[rows == 1]).any()
