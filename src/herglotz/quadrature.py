@@ -90,8 +90,6 @@ def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray):
         g7 = scale * (_WG @ cols[:, 1::2])
         values.append(k15.reshape(x.shape[:1] + vals.shape[1:]))
         errors.append(np.abs(k15 - g7).max(axis=1))
-    if len(values) == 1:
-        return values[0], errors[0]
     return np.concatenate(values), np.concatenate(errors)
 
 
@@ -178,23 +176,20 @@ def _refine(f: Callable, edges: np.ndarray, atol: float, rtol: float,
         if not split.size:
             continue
         first = rank == 0
-        if first.all():  # one panel per row: nothing to bisect alone first
-            kids = _bisect(f, lo[split], hi[split], rs)
-        else:
-            e = err[split]
-            alone = np.zeros(n_rows, dtype=bool)
-            alone[rs[first]] = e[first] > np.bincount(rs[~first], e[~first], n_rows)[rs[first]]
-            head = first | ~alone[rs]
-            kids = _bisect(f, lo[split[head]], hi[split[head]], rs[head])
-            worst = np.zeros(n_rows)
-            worst[rs[head]] = kids[3].reshape(-1, 2).max(axis=1)
-            second = np.full(n_rows, -np.inf)
-            second[rs[rank == 1]] = e[rank == 1]
-            tail = ~head & (alone & (worst <= second))[rs]
-            if tail.any():
-                rest = _bisect(f, lo[split[tail]], hi[split[tail]], rs[tail])
-                kids = tuple(np.concatenate(p) for p in zip(kids, rest))
-            split = split[head | tail]
+        e = err[split]
+        alone = np.zeros(n_rows, dtype=bool)
+        alone[rs[first]] = e[first] > np.bincount(rs[~first], e[~first], n_rows)[rs[first]]
+        head = first | ~alone[rs]
+        kids = _bisect(f, lo[split[head]], hi[split[head]], rs[head])
+        worst = np.zeros(n_rows)
+        worst[rs[head]] = kids[3].reshape(-1, 2).max(axis=1)
+        second = np.full(n_rows, -np.inf)
+        second[rs[rank == 1]] = e[rank == 1]
+        tail = ~head & (alone & (worst <= second))[rs]
+        if tail.any():
+            rest = _bisect(f, lo[split[tail]], hi[split[tail]], rs[tail])
+            kids = tuple(np.concatenate(p) for p in zip(kids, rest))
+        split = split[head | tail]
         keep = np.ones(lo.size, dtype=bool)
         keep[split] = False
         lo, hi, val, err, row = (np.concatenate((old[keep], kid))

@@ -195,12 +195,30 @@ def test_refine_tiles_and_keeps_initial_edges():
 def _refine_one_row(f, edges, atol, rtol, max_panels):
     """The one-row refinement loop that ``quadrature._refine`` replaced, kept
     as its reference: integrand f(x) on the 1-D ``edges``; returns the final
-    panels (lo, hi, values, errors) in interval order."""
+    panels (lo, hi, values, errors) in interval order.  Its panel rule and
+    bisection are the one-row bodies of that version too, so the reference
+    shares only the rule's nodes and weights with the code under test."""
     def panels(lo, hi):
-        return quadrature._panels(lambda x, g: f(x), lo, hi, np.zeros(lo.size, dtype=int))
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        nodes = mid[:, None] + half[:, None] * quadrature._XK
+        values, errors = [], []
+        for s in range(0, lo.size, quadrature._CALL_PANELS):
+            x = nodes[s:s + quadrature._CALL_PANELS]
+            vals = np.asarray(f(x.ravel()), dtype=complex)
+            cols = vals.reshape(x.shape + (-1,))
+            scale = half[s:s + quadrature._CALL_PANELS, None]
+            k15 = scale * (quadrature._WK @ cols)
+            g7 = scale * (quadrature._WG @ cols[:, 1::2])
+            values.append(k15.reshape(x.shape[:1] + vals.shape[1:]))
+            errors.append(np.max(np.abs(k15 - g7), axis=1))
+        return np.concatenate(values), np.concatenate(errors)
 
     def bisect(lo, hi):
-        return quadrature._bisect(lambda x, g: f(x), lo, hi, np.zeros(lo.size, dtype=int))[:4]
+        mid = 0.5 * (lo + hi)
+        c_lo = np.column_stack((lo, mid)).ravel()
+        c_hi = np.column_stack((mid, hi)).ravel()
+        return (c_lo, c_hi) + panels(c_lo, c_hi)
 
     lo, hi = edges[:-1], edges[1:]
     val, err = panels(lo, hi)
