@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, SpecError
 from .measures import (BoundaryMeasure, measure_from_json, measure_to_json,
                        INF, _image_pieces, _image_point)
-from .quadrature import _WK, _XK, _line_pieces, _refine, _tail_map
+from .quadrature import _WK, _XK, _by_row, _refine, _walk
 from .sphere import MobiusMatrix, mobius_apply_values
 
 __all__ = [
@@ -222,8 +222,9 @@ def cauchy_kernel(s, z):
 # density, panels in |x| at ratio sqrt 2 (dyadic ones missed 1e-10), cut where
 # the neglected ends x^(1 + Re p) at 0 and x^(Re p - 1) at infinity fall under
 # 2^-60; otherwise panels that ``_refine`` fits to the density alone, on the
-# line in the pieces and tail maps of ``quad_real_line``, on the circle from
-# uniform panels no wider than pi/8.  A point with a pole u0 of the kernel
+# line those of the pieces and tail maps of ``quad_real_line`` from one
+# ``_walk`` over all such densities, on the circle from uniform panels no
+# wider than pi/8.  A point with a pole u0 of the kernel
 # within _NEAR of a panel, in the panel's local coordinate, takes weights exact
 # for g(u)/(u - u0), g of degree 14 (Helsing & Ojala, J. Comput. Phys. 227,
 # 2008), on the smooth g = (u - u0) K rho; on the circle u0 = -i log w (the
@@ -328,24 +329,21 @@ def _density_panels(parts):
 def _line_panels(measure: BoundaryMeasure, atol: float):
     """The panels of a line measure's densities: those in s and the tails in
     v, each a dict as from ``_density_panels``, None where there are none."""
+    kinds = [(d.descriptor or {}).get("kind", "") for d in measure.densities]
+    fit = [d for d, kind in zip(measure.densities, kinds)
+           if kind != "table" and not kind.startswith("catalog-power")]
+    if fit:
+        row, piece, A, lo, hi = _walk(_by_row(fit), *np.array([d.support for d in fit]).T, atol)[:5]
+        cut = np.searchsorted(row[piece], np.arange(1, len(fit)))
+        fitted = zip(*(np.split(x, cut) for x in (lo, hi, A)))
     parts = []
-    for d in measure.densities:
-        desc = d.descriptor or {}
-        kind = desc.get("kind", "")
+    for d, kind in zip(measure.densities, kinds):
         if kind == "table" or kind.startswith("catalog-power"):
-            edges = (_table_edges(np.asarray(desc["xs"], dtype=float)) if kind == "table"
-                     else _power_edges(*d.support, desc["p"][0]))
-            lo, hi, A = edges[:-1], edges[1:], np.zeros(edges.size - 1)
+            edges = (_table_edges(np.asarray(d.descriptor["xs"], dtype=float)) if kind == "table"
+                     else _power_edges(*d.support, d.descriptor["p"][0]))
+            parts.append((d, edges[:-1], edges[1:], np.zeros(edges.size - 1)))
         else:
-            pieces = _line_pieces(*d.support)
-            row = lambda x, g: d(x)
-            refined = [_refine(row if A is None else _tail_map(row, A),
-                               np.linspace(a, b, 2 if A is None else 3)[None],
-                               atol / len(pieces), 1e-9, 4000)[1:3] + (A or 0.0,)
-                       for a, b, A in pieces]
-            lo, hi, A = (np.concatenate(c) for c in zip(*[
-                (lo, hi, np.full(lo.size, A)) for lo, hi, A in refined]))
-        parts.append((d, lo, hi, A))
+            parts.append((d,) + next(fitted))
     P = _density_panels(parts) if parts else {"A": np.zeros(0)}
     tail = P["A"] != 0.0
     return tuple(None if not keep.any() else P if keep.all() else {k: v[keep] for k, v in P.items()}

@@ -37,7 +37,7 @@ from .extraction import (atomic_mass_batch, density_grid, simple_scan,
 from .boundary_limits import phi_profile
 from .measures import (measure_from_json, measure_to_json, pushforward_mobius,
                        total_variation)
-from .quadrature import _quad_rows, quad_real_line
+from .quadrature import _quad_rows
 from .reconstruction import ReconstructionSpec, reconstruct, resynthesis_residual
 from .sphere import MobiusMatrix
 from .testing import smooth_bump
@@ -76,17 +76,11 @@ def _parse_window(text: str):
     return lo, hi
 
 
-def _parse_floats(text: str):
-    if not text:
-        return []
-    return [float(v) for v in text.split(",")]
-
-
-def _parse_probes(text: str):
-    out = []
-    for item in text.split(","):
-        out.append(complex(item.replace(" ", "")))
-    return out
+def _parse_numbers(text: str, kind=float):
+    try:
+        return [kind(v) for v in text.split(",")] if text else []
+    except ValueError as exc:
+        raise SpecError(f"bad number list {text!r}") from exc
 
 
 def _schedule(args) -> LimitSchedule:
@@ -128,6 +122,9 @@ def _global_simple_check(f: AnalyticFunction, window) -> str:
 def cmd_extract(args) -> int:
     f = _load_spec(args.spec)
     lo, hi = _parse_window(args.window)
+    if args.nodes < 2:
+        raise SpecError(f"--nodes must be at least 2, got {args.nodes}")
+    sigma = _parse_numbers(args.sigma_points)
     sched = _schedule(args)
     out = _out_dir(args)
 
@@ -137,7 +134,6 @@ def cmd_extract(args) -> int:
         _write_json(out / "summary.json", {"status": "diverged", "diagnostic": diag})
         return EXIT_DIVERGED
 
-    sigma = list(_parse_floats(args.sigma_points))
     detected = [float(s) for s in boundary_atoms_in_window(f, lo, hi)]
     atom_sites = sorted(set(sigma) | set(detected))
 
@@ -177,16 +173,16 @@ def cmd_extract(args) -> int:
 def cmd_reconstruct(args) -> int:
     f = _load_spec(args.spec)
     lo, hi = _parse_window(args.window)
-    out = _out_dir(args)
+    probes = _parse_numbers(args.probes.replace(" ", ""), complex)
     spec = ReconstructionSpec(
         window=(lo, hi),
-        sigma_points=tuple(_parse_floats(args.sigma_points)),
+        sigma_points=tuple(_parse_numbers(args.sigma_points)),
         include_infinity=args.infinity,
         nodes_per_block=args.nodes_per_block,
         schedule=_schedule(args),
     )
+    out = _out_dir(args)
     result = reconstruct(f, spec)
-    probes = _parse_probes(args.probes)
     residual = resynthesis_residual(f, result, probes)
 
     _write_json(out / "measure.json", measure_to_json(result.measure))
@@ -217,12 +213,10 @@ def _check_vladimirov(args, report):
 
 
 def _check_poisson_identity(args, report):
-    pairs = [(s, y) for s in (0.0, 2.0, -3.0) for y in (1.0, 0.5, 0.1)]
-    for s, y in pairs:
-        def integrand(x):
-            x = np.asarray(x, dtype=float)
-            return (2.0 * y / ((1.0 + x * x) * ((s - x) ** 2 + y * y))).astype(complex)
-        val, _ = quad_real_line(integrand, atol=1e-12)
+    ss, ys = np.repeat([0.0, 2.0, -3.0], 3), np.tile([1.0, 0.5, 0.1], 3)
+    poisson = lambda x, g: 2.0 * ys[g] / ((1.0 + x * x) * ((ss[g] - x) ** 2 + ys[g] ** 2))
+    vals, _ = _quad_rows(poisson, -math.inf, math.inf, ss.size, atol=1e-12)
+    for s, y, val in zip(ss.tolist(), ys.tolist(), vals.tolist()):
         closed = 2.0 * math.pi * (y + 1.0) / (s * s + (y + 1.0) ** 2)
         err = abs(val.real - closed)
         report["items"].append({"name": f"poisson-identity(s={s},y={y})",
@@ -305,7 +299,7 @@ def cmd_mobius(args) -> int:
     if not p.exists():
         raise SpecError(f"measure file not found: {args.measure}")
     measure = measure_from_json(json.loads(p.read_text()))
-    vals = _parse_floats(args.matrix)
+    vals = _parse_numbers(args.matrix)
     if len(vals) != 4:
         raise SpecError("matrix must be 'a,b,c,d'")
     moved = pushforward_mobius(measure, MobiusMatrix(*vals))

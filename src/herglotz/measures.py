@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import SpecError
-from .quadrature import quad_real_line
+from .quadrature import _by_row, _quad_rows
 from .sphere import INFINITY, MobiusMatrix, mobius_apply, mobius_apply_values
 
 __all__ = [
@@ -157,7 +157,7 @@ class BoundaryMeasure:
 
 
 def integrate(m: BoundaryMeasure, f: TestFunction, *, atol: float = 1e-10) -> complex:
-    """Pair the measure with a test function: sum over atoms plus density quadratures."""
+    """Pair the measure with a test function: atoms plus one rows call over the densities."""
     total = 0j
     for a in m.atoms:
         if math.isinf(a.loc):
@@ -167,13 +167,11 @@ def integrate(m: BoundaryMeasure, f: TestFunction, *, atol: float = 1e-10) -> co
             total += a.mass * complex(f.value_at_inf)
         else:
             total += a.mass * complex(f(np.array([a.loc]))[0])
-    flo, fhi = f.support
-    for d in m.densities:
-        lo, hi = d.support
-        a_, b_ = max(lo, flo), min(hi, fhi)
-        if a_ >= b_:
-            continue
-        val, _ = quad_real_line(lambda x: f(x) * d(x), a_, b_, atol=atol)
+    # Rows where the supports miss each other are empty and add zero.
+    lo, hi = np.clip(np.reshape([d.support for d in m.densities], (-1, 2)), *f.support).T
+    vals, _ = _quad_rows(_by_row([lambda x, d=d: f(x) * d(x) for d in m.densities]), lo, hi,
+                         len(m.densities), atol=atol)
+    for val in vals.tolist():
         total += val
     return total
 
@@ -205,19 +203,20 @@ def _conj_wrap(fn):
 
 def total_variation(m: BoundaryMeasure, *, atol: float = 1e-10,
                     finite_part_only: bool = False) -> float:
-    """Sum of |mass| over atoms plus integrals of |density|.
+    """Sum of |mass| over atoms plus integrals of |density|, one rows call.
 
     With finite_part_only=True the atom at infinity is excluded, matching the
     variation of the restriction to the finite line.
     """
     tv = 0.0
     for a in m.atoms:
-        if finite_part_only and math.isinf(a.loc):
-            continue
-        tv += abs(a.mass)
-    for d in m.densities:
-        val, _ = quad_real_line(lambda x: np.abs(d(x)).astype(complex), *d.support, atol=atol)
-        tv += val.real
+        if not (finite_part_only and math.isinf(a.loc)):
+            tv += abs(a.mass)
+    vals, _ = _quad_rows(_by_row([lambda x, d=d: np.abs(d(x)) for d in m.densities]),
+                         *np.reshape([d.support for d in m.densities], (-1, 2)).T,
+                         len(m.densities), atol=atol)
+    for val in vals.real.tolist():
+        tv += val
     return tv
 
 

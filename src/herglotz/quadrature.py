@@ -14,9 +14,10 @@ row of each node.  Every row keeps its own tolerance max(atol, rtol * |row
 total|), its own panel budget and its own stops, and refines as a call of its
 own would; only the integrand calls are shared, at most eight panels (120
 nodes) per call.  Row totals are summed in interval order, so results do not
-depend on refinement history.  The heights of a boundary limit, the corner
-integrals of a boundary functional and the heights of the variation bound
-run as rows; ``adaptive_quad`` and ``quad_real_line`` are one-row wrappers.
+depend on refinement history.  One walk, ``_walk``, cuts every line integral
+into pieces, rows with intervals of their own (the heights of a limit, the
+densities of a pairing or of the Cauchy evaluator, the points of a CLI check);
+``adaptive_quad`` and ``quad_real_line`` are one-row wrappers.
 """
 from __future__ import annotations
 
@@ -121,7 +122,8 @@ def _refine(f: Callable, edges: np.ndarray, atol: float, rtol: float,
     """Refine the panels between consecutive edges of each row of ``edges``,
     a (G, n+1) array of G independent integrals with integrand f(x, g), g the
     row of each node, until each row's error sum meets its tol = max(atol,
-    rtol * max|row total|), within ``max_panels`` panels per row.
+    rtol * max|row total|), within ``max_panels`` panels per row; atol is a
+    scalar or one per row, shape (G,).
 
     Each row refines as a call of its own would: its own tolerance, its own
     budget, its own stops.  Only the integrand calls are shared, every row's
@@ -228,74 +230,91 @@ def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = 1e-10,
     row = lambda x, g: f(x)
     if a == b:
         return _one_row(*_zero(row, 1))
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    rows, _, _, val, err = _refine(row, np.array([[a, b]], dtype=float), atol, rtol,
+    rows, _, _, val, err = _refine(row, np.array([sorted((a, b))], dtype=float), atol, rtol,
                                    max_panels)
     value, err = _one_row(_row_totals(rows, val, 1), _row_totals(rows, err, 1))
-    return sign * value, err
+    return (-1.0 if b < a else 1.0) * value, err
 
 
 _TAIL_START = 8.0
 
 
-def _tail_map(f: Callable, A: float) -> Callable:
-    """The rows integrand f's far tail in v under s = A / v^2, v in (0, 1], A
-    the end of smaller magnitude: algebraic tails ~ |s|^(-3/2) become
-    polynomial in v, where the angle compactification would crawl."""
+def _tail_map(f: Callable, A: np.ndarray) -> Callable:
+    """The rows integrand f's far tails in v under s = A[g] / v^2, v in (0, 1]
+    and A[g] row g's end of smaller magnitude: algebraic tails ~ |s|^(-3/2)
+    become polynomial in v, where the angle compactification would crawl."""
     def g(v, rows):
-        s = A / (v * v)
+        s = A[rows] / (v * v)
         vals = np.asarray(f(s, rows), dtype=complex)
-        w = 2.0 * abs(A) / (v * v * v)
+        w = 2.0 * np.abs(A[rows]) / (v * v * v)
         return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))
     return g
 
 
 def _line_pieces(lo: float, hi: float) -> list:
     """The pieces ``quad_real_line`` integrates lo < hi in: (a, b, A), the
-    interval (a, b) on the panel rule directly when A is None, else the v
+    interval (a, b) on the panel rule directly when A is 0, else the v
     interval of a one-signed tail under ``_tail_map`` with that A."""
     if math.isfinite(lo) and math.isfinite(hi) and (hi - lo) <= 200.0:
-        return [(lo, hi, None)]
+        return [(lo, hi, 0.0)]
     if hi <= -_TAIL_START:
         return [(0.0 if math.isinf(lo) else math.sqrt(hi / lo), 1.0, hi)]
     if lo >= _TAIL_START:
         return [(0.0 if math.isinf(hi) else math.sqrt(lo / hi), 1.0, lo)]
     # Far tails plus a direct middle piece.
-    cut_lo, cut_hi = max(lo, -_TAIL_START), min(hi, _TAIL_START)
-    pieces = _line_pieces(lo, cut_lo) if lo < cut_lo else []
-    pieces += _line_pieces(cut_lo, cut_hi)
-    return pieces + (_line_pieces(cut_hi, hi) if hi > cut_hi else [])
+    cuts = [lo] + [c for c in (-_TAIL_START, _TAIL_START) if lo < c < hi] + [hi]
+    return [p for a, b in zip(cuts, cuts[1:]) for p in _line_pieces(a, b)]
 
 
-def _quad_rows(f: Callable, lo: float, hi: float, n_rows: int, *,
-               atol: float = 1e-10, rtol: float = 1e-9, max_panels: int = 4000):
-    """``quad_real_line`` of the rows integrand f(x, g) for the ``n_rows`` rows
-    g, each row refined to its own tolerance: the values (n_rows, ...) and
-    errors (n_rows,) of the rows.
+def _by_row(fns) -> Callable:
+    """The rows integrand f(x, g) = fns[g](x) of pointwise scalar integrands."""
+    def f(x, rows):
+        out = np.empty(x.shape, dtype=complex)
+        for g in np.flatnonzero(np.bincount(rows)).tolist():  # np.unique imports numpy.ma
+            out[rows == g] = fns[g](x[rows == g])
+        return out
+    return f
 
-    Every piece of ``_line_pieces`` is one ``_refine`` call of n_rows rows,
-    and each row sums its pieces in order.
-    """
-    if lo == hi:
+
+def _walk(f: Callable, lo: np.ndarray, hi: np.ndarray, atol: float, rtol: float = 1e-9,
+          max_panels: int = 4000):
+    """The panels of f(x, g) on (lo[g], hi[g]), lo <= hi, not all empty: each
+    row's ``_line_pieces`` to atol / (its pieces), the direct pieces of all rows
+    as the rows of one ``_refine`` call and the tails of a second.  Returns the
+    row of each piece (pieces numbered by row and position) and the panels
+    (piece, A, lo, hi, values, errors) by piece and position; A = 0 off tails."""
+    row, a, b, A = np.array([(g, *p) for g, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))
+                             if l != h for p in _line_pieces(l, h)]).T
+    row = row.astype(int)
+    share = atol / np.bincount(row)[row]
+    found = []
+    for tail in (False, True):
+        ids = np.flatnonzero((A != 0.0) == tail)
+        if ids.size:
+            fn = lambda x, g, rows_of=row[ids]: f(x, rows_of[g])
+            edges = np.linspace(a[ids], b[ids], 2 + tail).T.copy()  # strided edges slow _panels
+            k, *panels = _refine(_tail_map(fn, A[ids]) if tail else fn, edges, share[ids], rtol,
+                                 max_panels)
+            found.append((ids[k], *panels))
+    piece, *panels = (np.concatenate(c) for c in zip(*found))
+    order = np.argsort(piece, kind="stable")
+    return (row, piece[order], A[piece[order]]) + tuple(x[order] for x in panels)
+
+
+def _quad_rows(f: Callable, lo, hi, n_rows: int, *, atol: float = 1e-10,
+               rtol: float = 1e-9, max_panels: int = 4000):
+    """``quad_real_line`` of the rows integrand f(x, g) on (lo[g], hi[g]) for
+    the ``n_rows`` rows g, lo and hi scalars or (n_rows,) arrays: the values
+    (n_rows, ...) and errors (n_rows,).  Each row sums its pieces from one
+    ``_walk`` in order, as a call of its own would; a reversed row negates."""
+    lo, hi = np.full(n_rows, lo, dtype=float), np.full(n_rows, hi, dtype=float)
+    if np.all(lo == hi):
         return _zero(f, n_rows)
-    if lo > hi:
-        val, err = _quad_rows(f, hi, lo, n_rows, atol=atol, rtol=rtol,
-                              max_panels=max_panels)
-        return -val, err
-    pieces = _line_pieces(lo, hi)
-    total, total_err = None, 0.0
-    for a, b, A in pieces:
-        edges = np.linspace(a, b, 2 if A is None else 3)
-        rows, _, _, val, err = _refine(f if A is None else _tail_map(f, A),
-                                       np.broadcast_to(edges, (n_rows, edges.size)),
-                                       atol / len(pieces), rtol, max_panels)
-        val = _row_totals(rows, val, n_rows)
-        total = val if total is None else total + val
-        total_err = total_err + _row_totals(rows, err, n_rows)
-    return total, total_err
+    piece_row, piece, *_, val, err = _walk(f, np.minimum(lo, hi), np.maximum(lo, hi), atol,
+                                           rtol, max_panels)
+    val = _row_totals(piece_row, _row_totals(piece, val, piece_row.size), n_rows)
+    val[lo > hi] = -val[lo > hi]
+    return val, np.bincount(piece_row, np.bincount(piece, err), n_rows)  # sequential sums
 
 
 def quad_real_line(f: Callable, lo: float = -math.inf, hi: float = math.inf, *,
@@ -306,7 +325,7 @@ def quad_real_line(f: Callable, lo: float = -math.inf, hi: float = math.inf, *,
     Moderate finite intervals go to the panel rule directly; far tails go
     through the inverse-square map, starting from two panels.  A split
     interval gives each piece an equal share of atol.  One row of
-    ``_quad_rows``.
+    ``_quad_rows``, equal bit for bit to the same row of any rows call.
     """
     return _one_row(*_quad_rows(lambda x, g: f(x), lo, hi, 1, atol=atol, rtol=rtol,
                                 max_panels=max_panels))

@@ -93,6 +93,24 @@ def test_unread_flag_exits_1(tmp_path, capsys, argv, unread):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--window=-1,1", "--probes", "foo"],
+    ["reconstruct", "--window=-1,1", "--sigma-points=abc"],
+    ["extract", "--window=-1,1", "--sigma-points=abc"],
+    ["extract", "--window=-1,1", "--nodes", "1"],
+    ["extract", "--window=-1,1", "--nodes", "0"],
+    ["mobius", "--matrix", "1,x,0,1"],
+])
+def test_bad_number_flag_exits_1(tmp_path, capsys, power_half_spec, argv):
+    measure = tmp_path / "m.json"
+    measure.write_text(json.dumps({"picture": "line", "atoms": [{"loc": 0.0, "mass": [1.0, 0.0]}],
+                                   "densities": []}))
+    source = ["--measure", str(measure)] if argv[0] == "mobius" else ["--spec", power_half_spec]
+    assert main(argv + source + ["--out", str(tmp_path / "o")]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_extract_missing_spec_exits_1(tmp_path):
     assert main(["extract", "--spec", str(tmp_path / "nope.json"),
                  "--window=-1,1", "--out", str(tmp_path / "o")]) == 1

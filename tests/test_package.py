@@ -56,3 +56,22 @@ def test_traced_attributes_exist():
         assert "atol" in params and "rtol" in params, f"{name} lacks atol, rtol"
     assert "f" in inspect.signature(quadrature.adaptive_quad).parameters
     assert "argv" in inspect.signature(main).parameters
+
+
+def test_only_quadrature_cuts_the_line():
+    # How the line is cut into pieces and how a tail is mapped is decided in
+    # quadrature.py alone; other modules take panels from its walk.
+    owned = {"_line_pieces", "_tail_map"}
+    src = Path(herglotz.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & owned, f"{path.name} uses {sorted(names & owned)}"

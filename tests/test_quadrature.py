@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from herglotz import quadrature
+from herglotz import (BoundaryMeasure, MobiusMatrix, TestFunction, catalog, conjugate,
+                      integrate, pushforward_mobius, quadrature, total_variation)
+from herglotz.measures import DensityPart
 from herglotz.quadrature import _power_weighted_zero, adaptive_quad, quad_real_line
 
 
@@ -359,3 +361,196 @@ def test_polynomial_wave_columns_meet_tolerance(columns, ends):
     exact = np.array([_closed_form(c, k, a, b) for c, k in columns])
     assert val.shape == (len(columns),)
     assert np.max(np.abs(val - exact)) <= max(1e-10, 1e-9 * np.max(np.abs(exact)))
+
+
+# ---------------------------------------------------------------------------
+# One walk for every line integral: rows with intervals of their own
+
+
+def _old_tail_map(f, A):
+    """The one-A tail map of the per-piece walk: f(x, g) at s = A / v^2."""
+    def g(v, rows):
+        s = A / (v * v)
+        vals = np.asarray(f(s, rows), dtype=complex)
+        w = 2.0 * abs(A) / (v * v * v)
+        return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))
+    return g
+
+
+def _old_line_pieces(lo, hi):
+    """The line's cut policy, copied as the reference: (a, b, A) pieces of
+    lo < hi, A = 0 on a direct piece."""
+    if math.isfinite(lo) and math.isfinite(hi) and (hi - lo) <= 200.0:
+        return [(lo, hi, 0.0)]
+    if hi <= -8.0:
+        return [(0.0 if math.isinf(lo) else math.sqrt(hi / lo), 1.0, hi)]
+    if lo >= 8.0:
+        return [(0.0 if math.isinf(hi) else math.sqrt(lo / hi), 1.0, lo)]
+    cut_lo, cut_hi = max(lo, -8.0), min(hi, 8.0)
+    pieces = _old_line_pieces(lo, cut_lo) if lo < cut_lo else []
+    pieces += _old_line_pieces(cut_lo, cut_hi)
+    return pieces + (_old_line_pieces(cut_hi, hi) if hi > cut_hi else [])
+
+
+def _piece_walk(f, lo, hi, atol):
+    """The per-piece walk that one walk over all rows replaced, kept as its
+    reference: every piece of lo < hi one one-row ``_refine`` call of the
+    scalar-argument integrand f, to atol / (number of pieces).  Returns the
+    pieces' panels as [(A, lo, hi, values, errors)]."""
+    pieces = _old_line_pieces(lo, hi)
+    row = lambda x, g: f(x)
+    out = []
+    for a, b, A in pieces:
+        _, p_lo, p_hi, val, err = quadrature._refine(
+            row if A == 0.0 else _old_tail_map(row, A),
+            np.linspace(a, b, 2 if A == 0.0 else 3)[None], atol / len(pieces), 1e-9, 4000)
+        out.append((A, p_lo, p_hi, val, err))
+    return out
+
+
+def _piece_walk_integral(f, lo, hi, atol=1e-10):
+    """``quad_real_line`` as the per-piece walk computed it: each piece summed
+    in order, then the pieces in order; a reversed interval negated."""
+    if lo > hi:
+        val, err = _piece_walk_integral(f, hi, lo, atol)
+        return -val, err
+    total, total_err = None, 0.0
+    for _, _, _, val, err in _piece_walk(f, lo, hi, atol):
+        val = np.cumsum(val, axis=0)[-1]
+        total = val if total is None else total + val
+        total_err = total_err + np.cumsum(err)[-1]
+    return total, total_err
+
+
+def _same(got, want):
+    """Bit-equal, a NaN equal to any NaN."""
+    got, want = np.asarray(got, dtype=complex), np.asarray(want, dtype=complex)
+    nan = np.isnan(got) | np.isnan(want)
+    return (np.array_equal(np.isnan(got), np.isnan(want))
+            and np.array_equal(_bits(got[~nan]), _bits(want[~nan])))
+
+
+def _line_integrand(kind, p, q):
+    """Integrands of the whole line; "nan" is NaN left of p, so its rows stop
+    on a NaN error wherever a node falls there."""
+    if kind == "lorentz":
+        return lambda x: (10.0 ** q / ((x - p) ** 2 + 10.0 ** (2 * q))).astype(complex)
+    if kind == "wave":
+        return lambda x: np.exp(3j * p * x) / (1.0 + x * x)
+    if kind == "cusp":
+        return lambda x: (np.abs(x - p) ** -0.5 / (1.0 + x * x)).astype(complex)
+    return lambda x: (np.sqrt(x - 50.0 * p) / (1.0 + x * x)).astype(complex)
+
+
+_LINE_ROW = st.tuples(st.sampled_from(["lorentz", "wave", "cusp", "nan"]),
+                      st.floats(-1.0, 1.0), st.floats(-3.0, 0.0))
+
+
+def _line_span(kind, a, w, back):
+    lo, hi = {"finite": (a, a + w), "wide": (a, a + 200.0 + w), "right": (0.1 * a, math.inf),
+              "left": (-math.inf, 0.1 * a), "line": (-math.inf, math.inf),
+              "empty": (a, a)}[kind]
+    return (hi, lo) if back else (lo, hi)
+
+
+# Finite, wider than 200, half-infinite, whole-line and empty, each possibly
+# reversed.
+_LINE_SPAN = st.builds(_line_span, st.sampled_from(["finite", "wide", "right", "left",
+                                                    "line", "empty"]),
+                       st.floats(-300.0, 300.0), st.floats(0.1, 150.0), st.booleans())
+
+
+@settings(max_examples=30)
+@given(st.lists(st.tuples(_LINE_ROW, _LINE_SPAN), min_size=1, max_size=6), st.booleans())
+def test_line_rows_equal_their_single_integrals(drawn, two_columns):
+    # Scaled so that atol, not rtol, sets every row's tolerance.
+    fns = [lambda x, fn=_line_integrand(*row): 1e-3 * fn(x) for row, _ in drawn]
+    if two_columns:
+        fns = [lambda x, fn=fn: np.column_stack((fn(x), x * fn(x) / (1.0 + x * x)))
+               for fn in fns]
+    lo = np.array([a for _, (a, _) in drawn])
+    hi = np.array([b for _, (_, b) in drawn])
+
+    def grouped(x, g):
+        out = np.empty((x.size, 2) if two_columns else x.size, dtype=complex)
+        for i, fn in enumerate(fns):
+            out[g == i] = fn(x[g == i])
+        return out
+
+    with np.errstate(all="ignore"):
+        vals, errs = quadrature._quad_rows(grouped, lo, hi, len(fns))
+        for i, fn in enumerate(fns):
+            val, err = quad_real_line(fn, lo[i], hi[i])
+            assert _same(vals[i], val) and _same(errs[i], err)
+            if lo[i] != hi[i]:
+                assert all(map(_same, (val, err), _piece_walk_integral(fn, lo[i], hi[i])))
+            else:
+                assert not np.any(val) and err == 0.0
+
+
+def test_line_rows_cover_every_kind_of_interval():
+    # The cut policy's cases side by side in one call, each row its own
+    # integrand and a different number of pieces: 1, 1, 3, 3, 2, 0 and a
+    # reversed whole line.
+    spans = [(-1.0, 2.0), (10.0, math.inf), (-300.0, 250.0), (-math.inf, math.inf),
+             (-math.inf, 3.0), (4.0, 4.0), (math.inf, -math.inf)]
+    fns = [_line_integrand("lorentz", 0.1 * k, -1.0 - 0.2 * k) for k in range(len(spans))]
+    fns[6] = fns[3]
+    lo, hi = np.array(spans).T
+    vals, errs = quadrature._quad_rows(quadrature._by_row(fns), lo, hi, len(fns))
+    for i, fn in enumerate(fns):
+        assert all(map(_same, (vals[i], errs[i]), quad_real_line(fn, lo[i], hi[i])))
+    assert vals[5] == 0 and errs[5] == 0.0
+    assert _same(vals[6], -vals[3])
+    assert abs(vals[3] - np.pi) < 1e-9
+
+
+def _closure_measure():
+    """Line densities with no descriptor, so the evaluator fits panels to
+    them: a half-line, a wide finite and a narrow finite support."""
+    return BoundaryMeasure((), (
+        DensityPart((-math.inf, -0.5),
+                    lambda x: (np.sqrt(-x) / (np.pi * (1.0 + x * x))).astype(complex)),
+        DensityPart((-0.25, 300.0), lambda x: np.exp(0.3j * x) / (1.0 + x * x)),
+        DensityPart((1.0, 2.0), lambda x: (x * x).astype(complex))), "line", True)
+
+
+_CLOSURES = [pushforward_mobius(_closure_measure(), MobiusMatrix(0.0, -1.0, 1.0, 0.0)),
+             pushforward_mobius(_closure_measure(), MobiusMatrix(1.0, 0.7, 0.0, 1.0)),
+             conjugate(_closure_measure())]
+
+
+@pytest.mark.parametrize("m", _CLOSURES, ids=["inverse", "shear", "conjugate"])
+def test_line_panels_equal_the_per_piece_walk(m):
+    atol = 1e-10
+    parts = []
+    for d in m.densities:
+        pieces = _piece_walk(d, *d.support, atol)
+        parts.append((d,) + tuple(np.concatenate(c) for c in zip(*[
+            (lo, hi, np.full(lo.size, A)) for A, lo, hi, _, _ in pieces])))
+    P = catalog._density_panels(parts)
+    tail = P["A"] != 0.0
+    assert tail.any() and not tail.all()
+    got = catalog._line_panels(m, atol)
+    for panels, keep in zip(got, (~tail, tail)):
+        assert panels.keys() == P.keys()
+        for key, want in P.items():
+            assert np.array_equal(_bits(panels[key]), _bits(want[keep])), key
+
+
+def test_pairings_equal_the_per_density_integrals():
+    # integrate and total_variation are one rows call each; each density's
+    # row equals its own quad_real_line, added in density order.
+    for m in _CLOSURES + [_closure_measure()]:
+        for f in (TestFunction(lambda x: np.exp(-0.01 * x * x) + 0j),
+                  TestFunction(lambda x: (1.0 / (1.0 + x * x)).astype(complex), (-1.5, 20.0))):
+            want = 0j
+            for d in m.densities:
+                a, b = max(d.support[0], f.support[0]), min(d.support[1], f.support[1])
+                if a < b:
+                    want += quad_real_line(lambda x: f(x) * d(x), a, b)[0]
+            assert _same(integrate(m, f), want)
+        want = 0.0
+        for d in m.densities:
+            want += quad_real_line(lambda x: np.abs(d(x)).astype(complex), *d.support)[0].real
+        assert _same(total_variation(m), want)
