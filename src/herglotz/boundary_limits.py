@@ -26,7 +26,7 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 from .catalog import AnalyticFunction, _interior_kinks
 from .errors import NonSimpleBehaviorError, SpecError
-from .extraction import _side_sign, sup_abs_growth
+from .extraction import _GROWTH_MARGIN, _side_sign, sup_abs_growth
 from .measures import TestFunction
 from .quadrature import _lobatto, _power_weighted_zero, _refine, adaptive_quad
 
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 MAX_ORDER = 4
-_GROWTH_MARGIN = 0.35
 
 
 def c02_from_callables(h, h1, h2, a: float, b: float) -> TestFunction:

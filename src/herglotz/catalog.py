@@ -120,41 +120,32 @@ def principal_power(z, p):
 # Overflow-safe trigonometric kernels (one-sided exponential forms)
 
 
-def _tan_values(z):
-    z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    up = z.imag >= 0
-    if np.any(up):
-        w = np.exp(2j * z[up])
-        out[up] = -1j * (w - 1.0) / (w + 1.0)
-    if np.any(~up):
-        v = np.exp(-2j * z[~up])
-        out[~up] = -1j * (1.0 - v) / (1.0 + v)
-    return out
+def _one_sided(upper, lower):
+    """A kernel from upper(w, z), w = exp(2iz), where Im z >= 0 and lower(v, z),
+    v = exp(-2iz), below: on each side the exponential decays."""
+    def values(z):
+        z = np.asarray(z, dtype=complex)
+        out = np.empty_like(z)
+        up = z.imag >= 0
+        for side, fn, k in ((up, upper, 2j), (~up, lower, -2j)):
+            if side.any():
+                half = z[side]
+                out[side] = fn(np.exp(k * half), half)
+        return out
+    return values
 
 
-def _cot_values(z):
-    z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    up = z.imag >= 0
-    if np.any(up):
-        w = np.exp(2j * z[up])
-        out[up] = 1j * (w + 1.0) / (w - 1.0)
-    if np.any(~up):
-        v = np.exp(-2j * z[~up])
-        out[~up] = 1j * (1.0 + v) / (1.0 - v)
-    return out
-
-
-def _inv_sin_values(zeta):
-    zeta = np.asarray(zeta, dtype=complex)
-    out = np.empty_like(zeta)
-    up = zeta.imag >= 0
-    if np.any(up):
-        out[up] = 2j * np.exp(1j * zeta[up]) / (np.exp(2j * zeta[up]) - 1.0)
-    if np.any(~up):
-        out[~up] = 2j * np.exp(-1j * zeta[~up]) / (1.0 - np.exp(-2j * zeta[~up]))
-    return out
+# The trigonometric kinds: values, and the parity of the n whose n pi/2 are the
+# poles, which is also that of the n whose exp(pi n / (2 sigma)) are the poles
+# of the kind's sigma-log composition.
+_TRIG = {
+    "tan": (_one_sided(lambda w, z: -1j * (w - 1.0) / (w + 1.0),
+                       lambda v, z: -1j * (1.0 - v) / (1.0 + v)), "odd"),
+    "cot": (_one_sided(lambda w, z: 1j * (w + 1.0) / (w - 1.0),
+                       lambda v, z: 1j * (1.0 + v) / (1.0 - v)), "even"),
+    "csc2": (_one_sided(lambda w, z: 2.0 * (2j * w / (np.exp(4j * z) - 1.0)),  # 2 / sin(2z)
+                        lambda v, z: 2.0 * (2j * v / (1.0 - np.exp(-4j * z)))), "any"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +440,15 @@ def _disc_herglotz_eval(measure: BoundaryMeasure, constant, atol=1e-10):
     rho(t) dt off the unit circle.  The densities are sampled on their panels
     at the first call, and the samples are kept."""
     def build():
-        parts = []
-        for d in measure.densities:
-            lo, hi = d.support
-            start = np.linspace(lo, hi, math.ceil((hi - lo) / (np.pi / 8.0)) + 1)
-            lo, hi = _refine(lambda x, g: d(x), start[None], atol, 1e-9, 4000)[1:3]
-            parts.append((d, lo, hi, np.zeros(lo.size)))
-        if not parts:
+        ds = measure.densities
+        if not ds:
             return None
-        P = _density_panels(parts)
+        starts = [np.linspace(lo, hi, math.ceil((hi - lo) / (np.pi / 8.0)) + 1)
+                  for lo, hi in (d.support for d in ds)]
+        row, lo, hi = _refine(_by_row(ds), starts, atol, 1e-9, 4000)[:3]
+        cut = np.searchsorted(row, np.arange(1, len(ds)))
+        P = _density_panels([(d, l, h, np.zeros(l.size))
+                             for d, l, h in zip(ds, np.split(lo, cut), np.split(hi, cut))])
         P["s"] = np.exp(1j * P["u"])
         return P
 
@@ -482,16 +473,17 @@ def _disc_herglotz_eval(measure: BoundaryMeasure, constant, atol=1e-10):
 # Builders
 
 
-def _odd_multiples(step: float, lo: float, hi: float, parity: str):
-    # Multiples n*step inside (lo, hi) with n odd / even / any.
+def _parity(ns, parity: str):
+    """The integers ns that are odd, even or any, as ``parity`` says."""
+    return ns if parity == "any" else ns[ns % 2 == (parity == "odd")]
+
+
+def _multiples(step: float, lo: float, hi: float, parity: str):
+    # Multiples n*step inside (lo, hi) with n of the given parity.
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise SpecError(f"the poles accumulate at ±inf: ({lo}, {hi}) holds infinitely many")
-    ns = np.arange(math.ceil(lo / step), math.floor(hi / step) + 1)
-    if parity == "odd":
-        ns = ns[ns % 2 != 0]
-    elif parity == "even":
-        ns = ns[ns % 2 == 0]
-    return (ns * step).astype(float)
+    return (_parity(np.arange(math.ceil(lo / step), math.floor(hi / step) + 1), parity)
+            * step).astype(float)
 
 
 def _exp_lattice(sigma: float, lo: float, hi: float, parity: str):
@@ -504,12 +496,7 @@ def _exp_lattice(sigma: float, lo: float, hi: float, parity: str):
     step = math.pi / (2.0 * sigma)
     n_lo = math.ceil(math.log(lo) / step - 1e-12)
     n_hi = math.floor(math.log(hi) / step + 1e-12)
-    ns = np.arange(n_lo, n_hi + 1)
-    if parity == "odd":
-        ns = ns[ns % 2 != 0]
-    elif parity == "even":
-        ns = ns[ns % 2 == 0]
-    return np.exp(ns * step)
+    return np.exp(_parity(np.arange(n_lo, n_hi + 1), parity) * step)
 
 
 def _real_density(d) -> bool:
@@ -526,26 +513,21 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
     """Construct the evaluator and boundary metadata for a catalog recipe."""
     kind, p = spec.kind, spec.params
 
-    if kind == "tan":
+    base = kind.removesuffix("_sigma_log")
+    if base in _TRIG:
+        values, parity = _TRIG[base]
+        if kind == base:
+            return AnalyticFunction(
+                values, "half-plane", (("point", INF),), True, {"kind": kind},
+                lambda lo, hi: _multiples(math.pi / 2.0, lo, hi, parity), True)
+        sigma = float(p["sigma"])
+        if sigma <= 0:
+            raise SpecError("sigma must be positive")
         return AnalyticFunction(
-            _tan_values, "half-plane",
-            (("point", INF),),
-            True, {"kind": "tan"},
-            lambda lo, hi: _odd_multiples(math.pi / 2.0, lo, hi, "odd"), True)
-
-    if kind == "cot":
-        return AnalyticFunction(
-            _cot_values, "half-plane",
-            (("point", INF),),
-            True, {"kind": "cot"},
-            lambda lo, hi: _odd_multiples(math.pi, lo, hi, "any"), True)
-
-    if kind == "csc2":
-        return AnalyticFunction(
-            lambda z: 2.0 * _inv_sin_values(2.0 * np.asarray(z, dtype=complex)),
-            "half-plane", (("point", INF),),
-            True, {"kind": "csc2"},
-            lambda lo, hi: _odd_multiples(math.pi / 2.0, lo, hi, "any"), True)
+            lambda z: values(sigma * np.log(np.asarray(z, dtype=complex))), "half-plane",
+            (("interval", -INF, 0.0), ("point", 0.0), ("point", INF)), True,
+            {"kind": kind, "sigma": sigma},
+            lambda lo, hi: _exp_lattice(sigma, lo, hi, parity), True)
 
     if kind in ("power", "power_log", "power_over_log"):
         pw = complex(p["p"])
@@ -568,27 +550,6 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
         return AnalyticFunction(
             fn, "half-plane", support, has_rep,
             {"kind": kind, "p": [pw.real, pw.imag]}, locator, pw.imag == 0)
-
-    if kind in ("tan_sigma_log", "cot_sigma_log", "csc2_sigma_log"):
-        sigma = float(p["sigma"])
-        if sigma <= 0:
-            raise SpecError("sigma must be positive")
-        if kind == "tan_sigma_log":
-            fn = lambda z: _tan_values(sigma * np.log(np.asarray(z, dtype=complex)))
-            parity = "odd"
-        elif kind == "cot_sigma_log":
-            fn = lambda z: _cot_values(sigma * np.log(np.asarray(z, dtype=complex)))
-            parity = "even"
-        else:
-            fn = lambda z: 2.0 * _inv_sin_values(
-                2.0 * sigma * np.log(np.asarray(z, dtype=complex)))
-            parity = "any"
-        return AnalyticFunction(
-            fn, "half-plane",
-            (("interval", -INF, 0.0), ("point", 0.0), ("point", INF)),
-            True,
-            {"kind": kind, "sigma": sigma},
-            lambda lo, hi, s=sigma, q=parity: _exp_lattice(s, lo, hi, q), True)
 
     if kind == "rational":
         a, b = complex(p["a"]), complex(p["b"])

@@ -71,16 +71,27 @@ def _parse_window(text: str):
         lo, hi = (float(v) for v in text.split(","))
     except Exception as exc:
         raise SpecError(f"bad window {text!r}; expected 'lo,hi'") from exc
-    if not lo < hi:
-        raise SpecError("window must satisfy lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise SpecError("window must be finite with lo < hi")
     return lo, hi
 
 
 def _parse_numbers(text: str, kind=float):
     try:
-        return [kind(v) for v in text.split(",")] if text else []
+        vals = [kind(v) for v in text.split(",")] if text else []
     except ValueError as exc:
         raise SpecError(f"bad number list {text!r}") from exc
+    if not np.isfinite(vals).all():
+        raise SpecError(f"non-finite number in {text!r}")
+    return vals
+
+
+def _positive(text: str) -> float:
+    """The argparse type of tolerances and bounds: finite and above 0."""
+    v = float(text)
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text!r}")
+    return v
 
 
 def _schedule(args) -> LimitSchedule:
@@ -348,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=71)
     p.add_argument("--out", required=True, help="output directory")
     _add_schedule(p)
-    p.add_argument("--tol", type=float, default=DIVERGENCE_FACTOR)
+    p.add_argument("--tol", type=_positive, default=DIVERGENCE_FACTOR)
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_extract)
 
@@ -359,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--infinity", action="store_true")
     p.add_argument("--nodes-per-block", type=int, default=24, dest="nodes_per_block")
     p.add_argument("--probes", default="2j,-3j,1+1j")
-    p.add_argument("--residual-bound", type=float, default=1e-3, dest="residual_bound")
+    p.add_argument("--residual-bound", type=_positive, default=1e-3, dest="residual_bound")
     p.add_argument("--out", required=True, help="output directory")
     _add_schedule(p)
     p.set_defaults(fn=cmd_reconstruct)
@@ -374,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("circle-line", "inversion-duality"):
             q.add_argument("--window", required=True)
             _add_schedule(q)
-            q.add_argument("--tol", type=float, default=DIVERGENCE_FACTOR)
+            q.add_argument("--tol", type=_positive, default=DIVERGENCE_FACTOR)
         if name == "circle-line":
             q.add_argument("--force", action="store_true")
         q.add_argument("--out", required=True, help="output directory")

@@ -254,6 +254,11 @@ def _side_sign(side: str) -> float:
     return _SIDES[side]
 
 
+# How far a fitted growth exponent may pass the order it stands for (1 for
+# a density) before the behaviour counts as non-simple.
+_GROWTH_MARGIN = 0.35
+
+
 def sup_abs_growth(f: AnalyticFunction, a, b, *,
                    y_top: float = 0.25, y_floor: float = 1e-4,
                    nx: int = 61, ny: int = 17, side: str = "upper"):

@@ -9,20 +9,23 @@ endpoints; integrable endpoint singularities are handled by subdivision alone.
 
 One loop, ``_refine``, does all refinement, in generations after Shampine,
 "Vectorized adaptive quadrature in MATLAB", J. Comput. Appl. Math. 211
-(2008).  It takes rows: G independent integrals, integrand f(x, g) with g the
-row of each node.  Every row keeps its own tolerance max(atol, rtol * |row
-total|), its own panel budget and its own stops, and refines as a call of its
-own would; only the integrand calls are shared, at most eight panels (120
-nodes) per call.  Row totals are summed in interval order, so results do not
-depend on refinement history.  One walk, ``_walk``, cuts every line integral
-into pieces, rows with intervals of their own (the heights of a limit, the
-densities of a pairing or of the Cauchy evaluator, the points of a CLI check);
-``adaptive_quad`` and ``quad_real_line`` are one-row wrappers.
+(2008).  It takes rows: G independent integrals, each from edges of its own,
+integrand f(x, g) with g the row of each node.  Every row keeps its own
+tolerance max(atol, rtol * |row total|), its own panel budget and its own
+stops, and refines as a call of its own would; only the integrand calls are
+shared, at most eight panels (120 nodes) per call.  A generation bisects each
+row's worst panels once; a panel that dominates them is bisected alone, and
+its row's generation ends there.  Row totals are summed in interval order, so
+results do not depend on refinement history.  One walk, ``_walk``, cuts every
+line integral into pieces, direct pieces and tails alike the rows of one
+``_refine`` call (the heights of a limit, the densities of a pairing or of the
+Cauchy evaluator, the points of a CLI check); ``adaptive_quad`` and
+``quad_real_line`` are one-row wrappers.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -117,13 +120,14 @@ def _rank(rows: np.ndarray) -> np.ndarray:
     return np.arange(rows.size) - np.searchsorted(rows, rows)
 
 
-def _refine(f: Callable, edges: np.ndarray, atol: float, rtol: float,
+def _refine(f: Callable, edges: Sequence[np.ndarray], atol: float, rtol: float,
             max_panels: int):
     """Refine the panels between consecutive edges of each row of ``edges``,
-    a (G, n+1) array of G independent integrals with integrand f(x, g), g the
-    row of each node, until each row's error sum meets its tol = max(atol,
-    rtol * max|row total|), within ``max_panels`` panels per row; atol is a
-    scalar or one per row, shape (G,).
+    G 1-D edge arrays of any lengths (a (G, n+1) array is G rows) for G
+    independent integrals with integrand f(x, g), g the row of each node,
+    until each row's error sum meets its tol = max(atol, rtol * max|row
+    total|), within ``max_panels`` panels per row; atol is a scalar or one per
+    row, shape (G,).
 
     Each row refines as a call of its own would: its own tolerance, its own
     budget, its own stops.  Only the integrand calls are shared, every row's
@@ -134,17 +138,18 @@ def _refine(f: Callable, edges: np.ndarray, atol: float, rtol: float,
     Each generation sorts every refining row's live panels worst-first, ties
     in creation order (a panel's position: kept panels keep their order and
     halves are appended), and bisects the shortest prefix whose errors cover
-    the row's excess over tol, no more than its budget allows.  A panel holding
-    most of its prefix's error is bisected alone first; if a half is still
-    worse than the next panel in line, the row's generation ends there, as a
-    one-panel-at-a-time refinement would take that half next.  The integrand
-    sees at most ``_CALL_PANELS`` panels per call.  A panel too narrow to
-    bisect in floating point leaves refinement: its error leaves the running
-    sum but stays in the returned errors.  A NaN error stops its row.
+    the row's excess over tol, no more than its budget allows, all in one
+    batch of integrand calls.  A panel holding most of its prefix's error is
+    bisected alone, and the row's generation ends there: the next generation
+    sorts its halves into line, as a one-panel-at-a-time refinement would.
+    The integrand sees at most ``_CALL_PANELS`` panels per call.  A panel too
+    narrow to bisect in floating point leaves refinement: its error leaves the
+    running sum but stays in the returned errors.  A NaN error stops its row.
     """
-    n_rows = edges.shape[0]
-    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    row = np.repeat(np.arange(n_rows), edges.shape[1] - 1)
+    n_rows = len(edges)
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    row = np.repeat(np.arange(n_rows), [len(e) - 1 for e in edges])
     val, err = _panels(f, lo, hi, row)
     live = np.ones(lo.size, dtype=bool)  # False once at floating-point width
     while True:
@@ -177,21 +182,13 @@ def _refine(f: Callable, edges: np.ndarray, atol: float, rtol: float,
         split, rs, rank = split[fits], rs[fits], rank[fits]
         if not split.size:
             continue
+        # A panel holding most of its row's prefix error is bisected alone.
         first = rank == 0
         e = err[split]
         alone = np.zeros(n_rows, dtype=bool)
         alone[rs[first]] = e[first] > np.bincount(rs[~first], e[~first], n_rows)[rs[first]]
-        head = first | ~alone[rs]
-        kids = _bisect(f, lo[split[head]], hi[split[head]], rs[head])
-        worst = np.zeros(n_rows)
-        worst[rs[head]] = kids[3].reshape(-1, 2).max(axis=1)
-        second = np.full(n_rows, -np.inf)
-        second[rs[rank == 1]] = e[rank == 1]
-        tail = ~head & (alone & (worst <= second))[rs]
-        if tail.any():
-            rest = _bisect(f, lo[split[tail]], hi[split[tail]], rs[tail])
-            kids = tuple(np.concatenate(p) for p in zip(kids, rest))
-        split = split[head | tail]
+        split = split[first | ~alone[rs]]
+        kids = _bisect(f, lo[split], hi[split], row[split])
         keep = np.ones(lo.size, dtype=bool)
         keep[split] = False
         lo, hi, val, err, row = (np.concatenate((old[keep], kid))
@@ -240,14 +237,21 @@ _TAIL_START = 8.0
 
 
 def _tail_map(f: Callable, A: np.ndarray) -> Callable:
-    """The rows integrand f's far tails in v under s = A[g] / v^2, v in (0, 1]
-    and A[g] row g's end of smaller magnitude: algebraic tails ~ |s|^(-3/2)
-    become polynomial in v, where the angle compactification would crawl."""
+    """The rows integrand f with the far tails of the rows g with A[g] != 0 in
+    v under s = A[g] / v^2, v in (0, 1] and A[g] the tail's end of smaller
+    magnitude: algebraic tails ~ |s|^(-3/2) become polynomial in v, where the
+    angle compactification would crawl.  Rows with A[g] = 0 stay unmapped."""
     def g(v, rows):
-        s = A[rows] / (v * v)
-        vals = np.asarray(f(s, rows), dtype=complex)
-        w = 2.0 * np.abs(A[rows]) / (v * v * v)
-        return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))
+        a = A[rows]
+        tail = a != 0.0
+        if not tail.any():
+            return f(v, rows)
+        s = v.copy()
+        s[tail] = a[tail] / (v[tail] * v[tail])
+        vals = np.array(f(s, rows), dtype=complex)
+        w = 2.0 * np.abs(a[tail]) / (v[tail] * v[tail] * v[tail])
+        vals[tail] *= w.reshape(w.shape + (1,) * (vals.ndim - 1))
+        return vals
     return g
 
 
@@ -279,26 +283,19 @@ def _by_row(fns) -> Callable:
 def _walk(f: Callable, lo: np.ndarray, hi: np.ndarray, atol: float, rtol: float = 1e-9,
           max_panels: int = 4000):
     """The panels of f(x, g) on (lo[g], hi[g]), lo <= hi, not all empty: each
-    row's ``_line_pieces`` to atol / (its pieces), the direct pieces of all rows
-    as the rows of one ``_refine`` call and the tails of a second.  Returns the
-    row of each piece (pieces numbered by row and position) and the panels
-    (piece, A, lo, hi, values, errors) by piece and position; A = 0 off tails."""
+    row's ``_line_pieces`` to atol / (its pieces), every piece a row of one
+    ``_refine`` call, a direct piece from its two ends and a tail from two
+    panels.  Returns the row of each piece (pieces numbered by row and
+    position) and the panels (piece, A, lo, hi, values, errors) by piece and
+    position; A = 0 off tails."""
     row, a, b, A = np.array([(g, *p) for g, (l, h) in enumerate(zip(lo.tolist(), hi.tolist()))
                              if l != h for p in _line_pieces(l, h)]).T
     row = row.astype(int)
-    share = atol / np.bincount(row)[row]
-    found = []
-    for tail in (False, True):
-        ids = np.flatnonzero((A != 0.0) == tail)
-        if ids.size:
-            fn = lambda x, g, rows_of=row[ids]: f(x, rows_of[g])
-            edges = np.linspace(a[ids], b[ids], 2 + tail).T.copy()  # strided edges slow _panels
-            k, *panels = _refine(_tail_map(fn, A[ids]) if tail else fn, edges, share[ids], rtol,
-                                 max_panels)
-            found.append((ids[k], *panels))
-    piece, *panels = (np.concatenate(c) for c in zip(*found))
-    order = np.argsort(piece, kind="stable")
-    return (row, piece[order], A[piece[order]]) + tuple(x[order] for x in panels)
+    edges = [e if t else e[::2] for e, t in zip(np.linspace(a, b, 3).T, A != 0.0)]
+    fn = lambda x, g: f(x, row[g])
+    piece, *panels = _refine(_tail_map(fn, A) if A.any() else fn, edges,
+                             atol / np.bincount(row)[row], rtol, max_panels)
+    return (row, piece, A[piece], *panels)
 
 
 def _quad_rows(f: Callable, lo, hi, n_rows: int, *, atol: float = 1e-10,

@@ -24,7 +24,7 @@ import numpy as np
 from .catalog import AnalyticFunction, _interior_kinks, cauchy_eval
 from .errors import NonSimpleBehaviorError, SpecError
 from .extrapolation import LimitSchedule, diverged
-from .extraction import (atomic_mass_at_infinity, atomic_mass_batch,
+from .extraction import (_GROWTH_MARGIN, atomic_mass_at_infinity, atomic_mass_batch,
                          density_grid, sup_abs_growth)
 from .measures import Atom, BoundaryMeasure, _table_densities, INF
 from .quadrature import _lobatto
@@ -204,7 +204,7 @@ def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> Reconstruction
         if ks.size:
             np.maximum.at(betas, owner, sup_abs_growth(f, ks, ks, nx=1, ny=9))
         for (u, v), beta in zip(pieces, betas):
-            if beta > 1.35:
+            if beta > 1.0 + _GROWTH_MARGIN:
                 raise NonSimpleBehaviorError(
                     f"density scan piece [{u}, {v}]: |f| grows like y^-{beta:.2f}")
         vals, errs = density_grid(f, np.concatenate(piece_xs), spec.schedule)

@@ -572,6 +572,46 @@ def test_disc_panels_match_the_oracle_on_arcs_and_an_atom():
         assert abs(value - ref) <= 1e-10 * (1.0 + abs(ref)), z
 
 
+def test_disc_densities_fit_in_one_refine_call(monkeypatch):
+    # The densities of a circle measure are the rows of one _refine call, and
+    # each sums as in an evaluator of its own.
+    refine, calls = catalog._refine, []
+
+    def counted(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(catalog, "_refine", counted)
+    densities = (DensityPart((-1.0, 2.0), lambda t: (1 + 0.5j) * np.exp(t)),
+                 DensityPart((2.5, 3.0), lambda t: np.cos(t).astype(complex)),
+                 DensityPart((-3.0, -1.5), lambda t: np.full(np.shape(t), 0.3j)))
+    zs = np.array([0.5j, 0.9 - 0.3j, (1.0 - 1e-6) * np.exp(2.75j), 1.2 + 0.1j])
+    got = catalog._disc_herglotz_eval(BoundaryMeasure((), densities, "circle"), 0.0)(zs)
+    assert len(calls) == 1 and len(calls[0][1]) == 3
+    want = sum(catalog._disc_herglotz_eval(BoundaryMeasure((), (d,), "circle"), 0.0)(zs)
+               for d in densities)
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert len(calls) == 4
+
+
+def test_log_density_kinds_reproduce_their_functions():
+    # cauchy of the catalog-power-log and catalog-power-over-log densities,
+    # with the constant (f(i) + f(-i))/2 and, over log, the atom of mass -1/2
+    # at 1 (the pole of 1/log z), is power_log and power_over_log down to
+    # Im z = 1e-8 on either side, 1 + 1e-8i included.
+    zs = np.array([x + 1j * y for x in (-30.0, -2.0, -0.3, 0.4, 1.0, 2.5, 40.0)
+                   for y in (1.0, 1e-3, 1e-8, -1e-8, -0.5)])
+    for kind, atoms in (("power_log", ()), ("power_over_log", (Atom(1.0, -0.5),))):
+        for p in (0.0, 0.5, -0.6, 0.3 + 0.4j, 0.7 - 0.4j):
+            f = catalog_build(CatalogSpec(kind, {"p": p}))
+            dens = density_from_descriptor({"kind": "catalog-" + kind.replace("_", "-"),
+                                            "p": [p.real, p.imag], "support": [-np.inf, 0.0]})
+            c = 0.5 * (f(1j) + f(-1j))
+            got = cauchy_eval(BoundaryMeasure(atoms, (dens,)), c, zs)
+            ref = f(zs)
+            assert np.all(np.abs(got - ref) <= 1e-13 * (1.0 + np.abs(ref))), (kind, p)
+
+
 def test_line_panels_on_a_density_without_descriptor():
     # The Cauchy density 1/(pi (1 + s^2)) on the whole line gives f = i above
     # the line and -i below.  Its panels run through both tail maps, and the

@@ -100,6 +100,18 @@ def test_unread_flag_exits_1(tmp_path, capsys, argv, unread):
     ["extract", "--window=-1,1", "--nodes", "1"],
     ["extract", "--window=-1,1", "--nodes", "0"],
     ["mobius", "--matrix", "1,x,0,1"],
+    ["reconstruct", "--window=-1,1", "--residual-bound", "nan"],
+    ["reconstruct", "--window=-1,1", "--residual-bound=-1"],
+    ["reconstruct", "--window=-1,1", "--probes=nanj"],
+    ["reconstruct", "--window=-1,1", "--probes=2j,inf"],
+    ["extract", "--window=-1,1", "--sigma-points=nan"],
+    ["extract", "--window=-1,1", "--tol=-1"],
+    ["extract", "--window=-1,1", "--tol", "0"],
+    ["extract", "--window=-1,1", "--tol", "nan"],
+    ["check", "inversion-duality", "--window=1,4", "--tol", "nan"],
+    ["check", "inversion-duality", "--window=1,4", "--tol=-1"],
+    ["extract", "--window=-1,inf"],
+    ["circle-line", "--window=-3,inf"],
 ])
 def test_bad_number_flag_exits_1(tmp_path, capsys, power_half_spec, argv):
     measure = tmp_path / "m.json"

@@ -205,13 +205,13 @@ _CALLS = [
      lambda: _extract_loop(_fn("z^(0.4+0.2i)"), _NEG), 58, 240),
     ("consistency_gap tan",
      lambda: consistency_gap(_fn("tan"), _POS),
-     lambda: _gap_loop(_fn("tan"), _POS), 59, 240),
+     lambda: _gap_loop(_fn("tan"), _POS), 58, 240),
     ("inversion_duality_gap -1/z",
      lambda: inversion_duality_gap(_fn("-1/z"), smooth_bump(1.2, 3.7)),
      lambda: _duality_loop(_fn("-1/z"), smooth_bump(1.2, 3.7)), 58, 240),
     ("joined_distribution_check -1/z",
      lambda: joined_distribution_check(_fn("-1/z"), constant_one()),
-     lambda: _joined_loop(_fn("-1/z"), constant_one()), 98, 325),
+     lambda: _joined_loop(_fn("-1/z"), constant_one()), 97, 325),
 ]
 
 

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -503,6 +505,30 @@ def test_line_rows_cover_every_kind_of_interval():
     assert vals[5] == 0 and errs[5] == 0.0
     assert _same(vals[6], -vals[3])
     assert abs(vals[3] - np.pi) < 1e-9
+
+
+def test_whole_line_refines_in_one_call(monkeypatch):
+    # The middle piece and both tails of every row are rows of one _refine
+    # call: 2 rows of 3 pieces.
+    refine, calls = quadrature._refine, []
+
+    def counted(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(quadrature, "_refine", counted)
+    vals, _ = quadrature._quad_rows(lambda x, g: 1.0 / (1.0 + x * x) + 0j, -math.inf,
+                                    math.inf, 2)
+    assert len(calls) == 1 and len(calls[0][1]) == 6
+    assert np.all(np.abs(vals - np.pi) < 1e-12)
+
+
+def test_refine_bisects_at_one_site():
+    # One bisection per generation: _refine calls _bisect in one place.
+    tree = ast.parse(inspect.getsource(quadrature._refine))
+    sites = [n for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_bisect"]
+    assert len(sites) == 1
 
 
 def _closure_measure():
