@@ -25,8 +25,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
 from .catalog import AnalyticFunction, _interior_kinks
-from .errors import NonSimpleBehaviorError, SpecError
-from .extraction import _GROWTH_MARGIN, _side_sign, sup_abs_growth
+from .errors import SpecError
+from .extraction import _require_simple, _side_sign
 from .measures import TestFunction
 from .quadrature import _lobatto, _power_weighted_zero, _refine, adaptive_quad
 
@@ -53,15 +53,16 @@ def c02_from_callables(h, h1, h2, a: float, b: float) -> TestFunction:
     return TestFunction(h, (a, b), derivs=(h1, h2))
 
 
-def _cheb_interpolate(fn: Callable, a: float, b: float, tol: float = 1e-13,
-                      max_deg: int = 1024) -> Chebyshev:
+def _cheb_interpolate(fn: Callable, a: float, b: float, tol: float = 1e-13) -> Chebyshev:
+    """Chebyshev interpolant of fn on [a, b], the degree doubling from 16 until
+    the last four coefficients fall below tol of the largest, or it reaches 1024."""
     deg = 16
     while True:
         coef = Chebyshev.interpolate(lambda x: np.asarray(fn(x), dtype=complex),
                                      deg, domain=[a, b]).coef
         scale = np.max(np.abs(coef))
         tail = np.max(np.abs(coef[-4:])) if scale > 0 else 0.0
-        if deg >= max_deg or scale == 0.0 or tail <= tol * scale:
+        if deg >= 1024 or scale == 0.0 or tail <= tol * scale:
             return Chebyshev(coef, domain=[a, b])
         deg *= 2
 
@@ -90,15 +91,6 @@ def normalized_antiderivative(H: Callable, a: float, b: float, *,
         return h1_series(np.asarray(x, dtype=float)) - hb / (b - a)
 
     return TestFunction(h, (a, b), derivs=(h1, H))
-
-
-def _require_simple(f: AnalyticFunction, a: float, b: float, side: str,
-                    max_beta: float, what: str):
-    beta = sup_abs_growth(f, a, b, side=side)
-    if beta > max_beta + _GROWTH_MARGIN:
-        raise NonSimpleBehaviorError(
-            f"{what}: |f| grows like y^-{beta:.2f} on [{a}, {b}] {side} side, "
-            f"exceeding the admissible exponent {max_beta}")
 
 
 def _corners(f: AnalyticFunction, xs, delta: float, m: int, sgn: float,
@@ -194,7 +186,7 @@ def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
     if nodes < 5:
         raise SpecError("need at least 5 profile nodes")
     sgn = _side_sign(side)
-    _require_simple(f, a, b, side, 1.0, "phi_profile")
+    _require_simple(f, a, b, 1.0, "phi_profile", side=side)
 
     edges = [a] + _interior_kinks(f, a, b) + [b]
     per_seg = max(9, int(math.ceil(nodes / (len(edges) - 1))))
@@ -245,11 +237,17 @@ def pair_with_phi(profile: PhiProfile, h02: TestFunction, *,
 
 def _test_derivative(test: TestFunction, k: int, a: float, b: float,
                      cheb: Optional[Chebyshev]):
-    if len(test.derivs) >= k:
+    """The k-th derivative of test: a supplied one, or else the Chebyshev
+    interpolant ``cheb`` of the last supplied one, differentiated the rest of
+    the way, since each differentiation of an interpolant loses digits.  The
+    interpolant spans the test's support within [a, b] and is zero outside."""
+    top = len(test.derivs)
+    if k <= top:
         return test.derivative(k), cheb
     if cheb is None:
-        cheb = _cheb_interpolate(test.__call__, a, b)
-    return cheb.deriv(k), cheb
+        lo, hi = max(a, test.support[0]), min(b, test.support[1])
+        cheb = _cheb_interpolate(test.derivative(top), lo, hi)
+    return TestFunction(cheb.deriv(k - top), tuple(cheb.domain)), cheb
 
 
 def boundary_limit_order_m(f: AnalyticFunction, test: TestFunction, a: float,
@@ -259,14 +257,15 @@ def boundary_limit_order_m(f: AnalyticFunction, test: TestFunction, a: float,
 
     Requires y^m f(x + iy) bounded over the box; the test function must vanish
     at a and b together with its first m+1 derivatives' usage region (supply
-    derivatives or let a Chebyshev proxy differentiate).
+    derivatives; past the last one supplied, a Chebyshev interpolant of it is
+    differentiated).
     """
     if not 0 <= m <= MAX_ORDER:
         raise SpecError(f"order m must lie in [0, {MAX_ORDER}]")
     _check_box(a, b, delta)
     sgn = _side_sign(side)
-    _require_simple(f, a, b, side, float(m) if m > 0 else 0.5,
-                    "boundary_limit_order_m")
+    _require_simple(f, a, b, float(m) if m > 0 else 0.5, "boundary_limit_order_m",
+                    side=side)
 
     total = 0j
     cheb = None

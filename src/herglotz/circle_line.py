@@ -24,8 +24,8 @@ import numpy as np
 from .catalog import _INVERSION, AnalyticFunction, _with_reflection, invert_variable
 from .errors import SpecError
 from .extrapolation import ExtrapolatedLimit, LimitSchedule
+from .extraction import _height_rows
 from .measures import TestFunction, _image_pieces
-from .quadrature import _quad_rows
 from .sphere import cayley_to_halfplane_values
 
 __all__ = [
@@ -69,23 +69,20 @@ def to_disc(f: AnalyticFunction) -> AnalyticFunction:
                             {"kind": "disc-companion", "base": f.descriptor})
 
 
-def _circle_rows(phi: AnalyticFunction, rs: np.ndarray, test: TestFunction,
-                 atol: float) -> np.ndarray:
-    """``circle_measure_functional`` at each radius of rs, the radii as rows
-    of one refinement."""
-    if not np.all((0.0 < rs) & (rs < 1.0)):
-        raise SpecError("require 0 < r < 1")
+def _circle_rows(phi: AnalyticFunction, test: TestFunction, atol: float):
+    """``circle_measure_functional`` at the radii rs, as the function of rs
+    that gives each radius a row of one refinement."""
     if phi.picture != "disc":
         raise SpecError("circle_measure_functional expects a disc function")
 
-    def integrand(t, g):
-        inner, outer = _with_reflection(phi, rs[g] * np.exp(1j * t))
+    def integrand(t, r):
+        inner, outer = _with_reflection(phi, r * np.exp(1j * t))
         return test(t) * 0.5 * (inner - outer)
 
     lo, hi = test.support
     if hi - lo > 2.0 * math.pi:
         lo, hi = -math.pi, math.pi
-    return _quad_rows(integrand, lo, hi, rs.size, atol=atol)[0]
+    return _height_rows(integrand, lo, hi, atol)
 
 
 def circle_measure_functional(phi: AnalyticFunction, r: float,
@@ -98,14 +95,17 @@ def circle_measure_functional(phi: AnalyticFunction, r: float,
     period is integrated where it lies, even across +-pi; a wider one is
     integrated over [-pi, pi].
     """
-    return complex(_circle_rows(phi, np.array([r], dtype=float), test, atol)[0])
+    if not 0.0 < r < 1.0:
+        raise SpecError("require 0 < r < 1")
+    return complex(_circle_rows(phi, test, atol)(np.array([r], dtype=float))[0])
 
 
 def circle_limit(phi: AnalyticFunction, test: TestFunction,
                  rsched: RadiusSchedule = RadiusSchedule(), *,
                  atol: float = 1e-11) -> ExtrapolatedLimit:
     """Weak* limit of the circle measures against a test function, r -> 1."""
-    return rsched.limit(lambda gaps: _circle_rows(phi, 1.0 - gaps, test, atol))
+    rows = _circle_rows(phi, test, atol)
+    return rsched.limit(lambda gaps: rows(1.0 - gaps))
 
 
 @dataclass(frozen=True)
@@ -150,27 +150,18 @@ def _inner_circle_side(f: AnalyticFunction, test: TestFunction,
     lo, hi = test.support
     ta, tb = 2.0 * math.atan(lo), 2.0 * math.atan(hi)
 
-    def sample(gaps):
-        def integrand(t, g):
-            return test(np.tan(0.5 * t)) * disc((1.0 - gaps[g]) * np.exp(1j * t))
-        return _quad_rows(integrand, ta, tb, gaps.size, atol=atol)[0]
+    def integrand(t, gap):
+        return test(np.tan(0.5 * t)) * disc((1.0 - gap) * np.exp(1j * t))
 
-    return rsched.limit(sample)
+    return rsched.limit(_height_rows(integrand, ta, tb, atol))
 
 
-def _line_integrand(f: AnalyticFunction, test: TestFunction, ys: np.ndarray):
-    """(s, g) -> test(s) f(s + i ys[g]) 2/(1+s^2), the half-plane side of the
-    chart change at the heights ys."""
-    def integrand(s, g):
-        return test(s) * f(s + 1j * ys[g]) * 2.0 / (1.0 + s * s)
-    return integrand
-
-
-def _line_side(f: AnalyticFunction, test: TestFunction, sched: LimitSchedule,
-               atol: float) -> ExtrapolatedLimit:
-    lo, hi = test.support
-    return sched.limit(lambda ys: -1j * _quad_rows(_line_integrand(f, test, ys), lo, hi,
-                                                   ys.size, atol=atol)[0])
+def _line_rows(f: AnalyticFunction, test: TestFunction, lo: float, hi: float,
+               atol: float):
+    """The heights' rows of int_lo^hi test(s) f(s + iy) 2/(1+s^2) ds, the
+    half-plane side of the chart change."""
+    return _height_rows(lambda s, y: test(s) * f(s + 1j * y) * 2.0 / (1.0 + s * s),
+                        lo, hi, atol)
 
 
 def consistency_gap(f: AnalyticFunction, test: TestFunction,
@@ -185,7 +176,8 @@ def consistency_gap(f: AnalyticFunction, test: TestFunction,
     converge; the gap certifies the change of boundary charts.
     """
     circle = _inner_circle_side(f, test, rsched, atol)
-    line = _line_side(f, test, sched, atol)
+    rows = _line_rows(f, test, *test.support, atol)
+    line = sched.limit(lambda ys: -1j * rows(ys))
     return _gap_report(circle, line, "circle-side limit", "line-side limit",
                        1.0 - rsched.heights, sched.heights)
 
@@ -224,11 +216,8 @@ def inversion_duality_gap(f: AnalyticFunction, test: TestFunction,
     tilde_test = _transport_inversion(test)
 
     def side(fn, tst):
-        def sample(ys):
-            def integrand(x, g):
-                return tst(x) * fn(x + 1j * ys[g]) / (1.0 + x * x)
-            return _quad_rows(integrand, *tst.support, ys.size, atol=atol)[0]
-        return sched.limit(sample)
+        return sched.limit(_height_rows(lambda x, y: tst(x) * fn(x + 1j * y) / (1.0 + x * x),
+                                        *tst.support, atol))
 
     lhs = side(f, test)
     rhs = side(tilde_f, tilde_test)
@@ -248,15 +237,8 @@ def joined_distribution_check(f: AnalyticFunction, test: TestFunction,
     infinities).
     """
     circle = _inner_circle_side(f, test, rsched, atol)
-    tilde_f = invert_variable(f)
-    tilde_test = _transport_inversion(test)
-
-    def line_sample(ys):
-        v1, _ = _quad_rows(_line_integrand(f, test, ys), -1.0, 1.0, ys.size, atol=atol)
-        v2, _ = _quad_rows(_line_integrand(tilde_f, tilde_test, ys), -1.0, 1.0, ys.size,
-                           atol=atol)
-        return -1j * (v1 + v2)
-
-    line = sched.limit(line_sample)
+    near = _line_rows(f, test, -1.0, 1.0, atol)
+    far = _line_rows(invert_variable(f), _transport_inversion(test), -1.0, 1.0, atol)
+    line = sched.limit(lambda ys: -1j * (near(ys) + far(ys)))
     return _gap_report(circle, line, "circle-side limit", "line-side limit",
                        1.0 - rsched.heights, sched.heights)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import _INVERSION, AnalyticFunction, _with_reflection, invert_variable
+from .catalog import (_INVERSION, AnalyticFunction, _interior_kinks, _with_reflection,
+                      invert_variable)
 from .errors import NonSimpleBehaviorError, SpecError
 from .extrapolation import (ExtrapolatedLimit, LimitSchedule, _limit_rows, best_limit,
                             diverged, limit_from_samples)
@@ -48,6 +49,15 @@ def _plus_minus_difference(f: AnalyticFunction, x, y):
     return upper - lower
 
 
+def _height_rows(integrand, lo, hi, atol: float):
+    """The ``sample`` of ``LimitSchedule.limit`` for the line integrals of
+    integrand(x, y) over (lo, hi) at the heights ys: every height a row of one
+    ``_quad_rows`` call, each node given its row's height y."""
+    def sample(ys):
+        return _quad_rows(lambda x, g: integrand(x, ys[g]), lo, hi, ys.size, atol=atol)[0]
+    return sample
+
+
 def extract_functional(f: AnalyticFunction, test: TestFunction,
                        sched: LimitSchedule = LimitSchedule(), *,
                        atol: float = 1e-10) -> ExtrapolatedLimit:
@@ -56,15 +66,10 @@ def extract_functional(f: AnalyticFunction, test: TestFunction,
     A non-convergent tableau is reported through the error estimate, never
     silently discarded.
     """
-    lo, hi = test.support
+    def integrand(x, y):
+        return test(x) * _plus_minus_difference(f, x, y) / (2j * np.pi * (1.0 + x * x))
 
-    def sample(ys):
-        def integrand(x, g):
-            return test(x) * _plus_minus_difference(f, x, ys[g]) \
-                / (2j * np.pi * (1.0 + x * x))
-        return _quad_rows(integrand, lo, hi, ys.size, atol=atol)[0]
-
-    return sched.limit(sample)
+    return sched.limit(_height_rows(integrand, *test.support, atol))
 
 
 def _density_samples(f: AnalyticFunction, xs: np.ndarray, ys: np.ndarray):
@@ -205,15 +210,19 @@ def _scan_part(f: AnalyticFunction, lo: float, hi: float, ys, nx: int):
     return np.maximum(q_up.max(axis=1), q_dn.max(axis=1))
 
 
-def simple_scan(f: AnalyticFunction, window, y_floor: float = 1e-5, *,
-                y_top: float = 0.5, nx: int = 81, ny: int = 33) -> SimpleScanReport:
+_SCAN_FLOOR = 1e-5
+
+
+def simple_scan(f: AnalyticFunction, window, *, nx: int = 81,
+                ny: int = 33) -> SimpleScanReport:
     """Diagnose simple behavior of f on a window of the extended real line.
 
-    Windows reaching infinity are scanned in the inversion chart u = -1/x near
-    0, where the scan quantity is exactly invariant.
+    The heights run down from 0.5 to 1e-5, the growth fit reading those up to
+    1e-4.  Windows reaching infinity are scanned in the inversion chart
+    u = -1/x near 0, where the scan quantity is exactly invariant.
     """
     lo, hi = window
-    ys = np.logspace(math.log10(y_top), math.log10(y_floor), ny)
+    ys = np.logspace(math.log10(0.5), math.log10(_SCAN_FLOOR), ny)
     cut = 1e3
     parts = []
     flo = max(lo, -cut)
@@ -233,7 +242,7 @@ def simple_scan(f: AnalyticFunction, window, y_floor: float = 1e-5, *,
             continue
         sup_per_y = np.maximum(sup_per_y, _scan_part(fn, plo, phi, ys, nx))
     sup = float(np.max(sup_per_y))
-    low = ys <= 10.0 * y_floor
+    low = ys <= 10.0 * _SCAN_FLOOR
     if np.count_nonzero(low) < 3:
         low = np.argsort(ys)[:max(3, ny // 4)]
     logs = np.log(np.maximum(sup_per_y[low], 1e-300))
@@ -259,17 +268,17 @@ def _side_sign(side: str) -> float:
 _GROWTH_MARGIN = 0.35
 
 
-def sup_abs_growth(f: AnalyticFunction, a, b, *,
-                   y_top: float = 0.25, y_floor: float = 1e-4,
-                   nx: int = 61, ny: int = 17, side: str = "upper"):
-    """Fitted exponent beta of sup_x |f(x + iy)| ~ y^(-beta) on [a, b].
+def sup_abs_growth(f: AnalyticFunction, a, b, *, nx: int = 61, ny: int = 17,
+                   side: str = "upper"):
+    """Fitted exponent beta of sup_x |f(x + iy)| ~ y^(-beta) on [a, b], over
+    heights from 0.25 down to 1e-4.
 
     a and b may be arrays of interval ends: every interval is scanned in one
     call of f and an array of exponents comes back, one per interval.  Scalar
     ends give a float.
     """
     sgn = _side_sign(side)
-    ys = np.logspace(math.log10(y_top), math.log10(y_floor), ny)
+    ys = np.logspace(math.log10(0.25), math.log10(1e-4), ny)
     a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     xs = np.linspace(a_arr.ravel(), b_arr.ravel(), nx, axis=1)
     Z = xs.ravel()[None, :] + sgn * 1j * ys[:, None]
@@ -277,3 +286,22 @@ def sup_abs_growth(f: AnalyticFunction, a, b, *,
     slope = np.polyfit(np.log(ys), np.log(np.maximum(sup, 1e-300)), 1)[0]
     beta = -slope
     return float(beta[0]) if a_arr.ndim == 0 else beta.reshape(a_arr.shape)
+
+
+def _require_simple(f: AnalyticFunction, a, b, max_beta: float, what: str, *,
+                    side: str = "upper", nx: int = 61, ny: int = 17):
+    """Raise NonSimpleBehaviorError on the first of the sorted, disjoint
+    intervals [a, b] (scalars or arrays of ends) where |f| grows faster than
+    y^-(max_beta + _GROWTH_MARGIN).  A singularity between scan abscissae
+    escapes the grid, so the catalog's kinks get a column of their own."""
+    us, vs = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    betas = sup_abs_growth(f, us, vs, nx=nx, ny=ny, side=side)
+    ks = np.array(_interior_kinks(f, us[0], vs[-1]))
+    owner = np.searchsorted(us, ks) - 1  # the last interval starting below each kink
+    inside = (owner >= 0) & (ks < vs[owner])
+    ks, owner = ks[inside], owner[inside]
+    if ks.size:
+        np.maximum.at(betas, owner, sup_abs_growth(f, ks, ks, nx=1, ny=ny, side=side))
+    for u, v, beta in zip(us.tolist(), vs.tolist(), betas.tolist()):
+        if beta > max_beta + _GROWTH_MARGIN:
+            raise NonSimpleBehaviorError(f"{what} [{u}, {v}]: |f| grows like y^-{beta:.2f}")

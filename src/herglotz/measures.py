@@ -476,12 +476,12 @@ def _json_loc(v) -> float:
     return float(v)
 
 
-def _tabulate(d: DensityPart, n: int = 257) -> DensityPart:
+def _tabulate(d: DensityPart) -> DensityPart:
     lo, hi = d.support
     ta, tb = 2.0 * math.atan(lo), 2.0 * math.atan(hi)
-    # Open Chebyshev nodes in the compactified coordinate avoid the endpoints.
-    k = np.arange(n)
-    t = 0.5 * (ta + tb) + 0.5 * (tb - ta) * np.cos((2 * k + 1) * np.pi / (2 * n))
+    # 257 open Chebyshev nodes in the compactified coordinate avoid the endpoints.
+    k = np.arange(257)
+    t = 0.5 * (ta + tb) + 0.5 * (tb - ta) * np.cos((2 * k + 1) * np.pi / (2 * k.size))
     xs = np.sort(np.tan(0.5 * t))
     return table_density(xs, d(xs))
 

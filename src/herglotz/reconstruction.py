@@ -21,11 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import AnalyticFunction, _interior_kinks, cauchy_eval
+from .catalog import AnalyticFunction, cauchy_eval
 from .errors import NonSimpleBehaviorError, SpecError
 from .extrapolation import LimitSchedule, diverged
-from .extraction import (_GROWTH_MARGIN, atomic_mass_at_infinity, atomic_mass_batch,
-                         density_grid, sup_abs_growth)
+from .extraction import (_require_simple, atomic_mass_at_infinity, atomic_mass_batch,
+                         density_grid)
 from .measures import Atom, BoundaryMeasure, _table_densities, INF
 from .quadrature import _lobatto
 
@@ -192,21 +192,7 @@ def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> Reconstruction
     max_density_err = 0.0
     if pieces:
         scan_nx = int(max(9, min(61, 4000 / sum(map(len, blocks)))))
-        us, vs = np.array(pieces).T
-        betas = sup_abs_growth(f, us, vs, nx=scan_nx, ny=9)
-        # A singularity between scan abscissae escapes the grid; the catalog's
-        # kinks inside a piece get a column of their own.  The pieces are
-        # sorted and disjoint, so one call over the window finds them all.
-        ks = np.array(_interior_kinks(f, lo, hi))
-        owner = np.searchsorted(us, ks) - 1  # the last piece starting below each kink
-        inside = (owner >= 0) & (ks < vs[owner])
-        ks, owner = ks[inside], owner[inside]
-        if ks.size:
-            np.maximum.at(betas, owner, sup_abs_growth(f, ks, ks, nx=1, ny=9))
-        for (u, v), beta in zip(pieces, betas):
-            if beta > 1.0 + _GROWTH_MARGIN:
-                raise NonSimpleBehaviorError(
-                    f"density scan piece [{u}, {v}]: |f| grows like y^-{beta:.2f}")
+        _require_simple(f, *np.array(pieces).T, 1.0, "density scan piece", nx=scan_nx, ny=9)
         vals, errs = density_grid(f, np.concatenate(piece_xs), spec.schedule)
         max_density_err = max(max_density_err, float(np.max(errs)))
         tables = np.split(vals, np.cumsum([len(xs) for xs in piece_xs])[:-1])

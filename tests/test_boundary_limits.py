@@ -330,6 +330,29 @@ def test_order_zero_continuous(minus_inverse):
     assert abs(got - re) < 1e-8
 
 
+def test_order_m_gate_sees_a_pole_between_scan_points(minus_inverse):
+    # On [-1, 1.2] the pole at 0 falls between the growth scan's abscissae;
+    # its kink column still sees the y^-1 growth.
+    with pytest.raises(NonSimpleBehaviorError) as err:
+        boundary_limit_order_m(minus_inverse, smooth_bump(-1.0, 1.2), -1.0, 1.2, 0.5, 0)
+    assert str(err.value) == "boundary_limit_order_m [-1.0, 1.2]: |f| grows like y^-1.00"
+
+
+@pytest.mark.parametrize("lo, hi, a, b, orders", [
+    (-1.0, 1.1, -1.0, 1.1, (2, 3, 4)),
+    # A test on a fifth of the box: interpolated over the whole box the bump
+    # needs more than the largest degree, and m = 2, 3 were off by 19 and 7e5.
+    (0.2, 0.6, -1.0, 1.0, (2, 3)),
+])
+def test_order_m_limits_agree_past_the_supplied_derivatives(sqrt_fn, lo, hi, a, b, orders):
+    # smooth_bump supplies two derivatives; m = 2, 3, 4 need up to the fifth,
+    # from an interpolant of the second rather than of the bump itself.
+    test = smooth_bump(lo, hi)
+    v0 = boundary_limit_order_m(sqrt_fn, test, a, b, 0.5, 0)
+    for m in orders:
+        assert abs(boundary_limit_order_m(sqrt_fn, test, a, b, 0.5, m) - v0) <= 1e-7
+
+
 def test_order_one_sokhotski(minus_inverse):
     # even test with value 1 at 0: principal value cancels, i pi remains
     test = smooth_bump(-1.0, 1.0)

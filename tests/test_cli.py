@@ -57,6 +57,23 @@ def test_extract_tan_quiet_window(tmp_path):
     assert max(abs(r[1]) + abs(r[2]) for r in rows) < 1e-8
 
 
+def test_extract_tan_writes_its_atom(tmp_path):
+    # The pole of tan at pi/2 is found, its mass 1/(1 + (pi/2)^2) written, and
+    # the 10 grid points within 5 steps of it dropped from the density grid.
+    spec = _write_spec(tmp_path / "tan.json", {"kind": "tan"})
+    out = tmp_path / "out"
+    assert main(["extract", "--spec", spec, "--window=1,2", "--nodes", "41",
+                 "--out", str(out)]) == 0
+    [atom] = json.loads((out / "atoms.json").read_text())
+    assert atom["loc"] == pytest.approx(np.pi / 2, abs=1e-15)
+    mass = complex(*atom["mass"])
+    assert abs(mass - 1.0 / (1.0 + (np.pi / 2) ** 2)) <= 1e-10
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["nodes"] == 31 and summary["atom_sites"] == [atom["loc"]]
+    _, rows = _read_csv(out / "density.csv")
+    assert len(rows) == 31 and min(abs(r[0] - np.pi / 2) for r in rows) >= 5 * 0.025
+
+
 def test_extract_non_simple_exits_2(tmp_path, capsys):
     spec = _write_spec(tmp_path / "p15.json", {"kind": "power", "p": [1.5, 0.0]})
     out = tmp_path / "out"

@@ -183,6 +183,15 @@ def test_simple_scan_tan_pole(tan_fn):
     assert rep.bounded
 
 
+@pytest.mark.parametrize("window", [(-2.0, -0.5), (-np.inf, -1e3), (1e3, np.inf)])
+def test_simple_scan_reads_both_sides(window):
+    # For f without star symmetry the scan takes the lower side from f itself;
+    # star reflection swaps the sides and must leave the report as it is.
+    f = catalog_build(CatalogSpec("power", {"p": 0.5 + 0.3j}))
+    assert not f.star_symmetric
+    assert simple_scan(f, window) == simple_scan(star_reflect(f), window)
+
+
 def test_atomic_mass_divergence_raises():
     f = catalog_build(CatalogSpec("power", {"p": -1.5}))  # double-pole-like at 0
     with pytest.raises(NonSimpleBehaviorError):

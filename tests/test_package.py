@@ -75,3 +75,22 @@ def test_only_quadrature_cuts_the_line():
             elif isinstance(node, ast.alias):
                 names.add(node.name)
         assert not names & owned, f"{path.name} uses {sorted(names & owned)}"
+
+
+def test_only_extraction_gates_growth():
+    # Whether f grows slowly enough near the boundary is decided in
+    # extraction.py alone; other modules call its _require_simple.
+    owned = {"_GROWTH_MARGIN", "sup_abs_growth"}
+    src = Path(herglotz.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "extraction.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & owned, f"{path.name} uses {sorted(names & owned)}"
