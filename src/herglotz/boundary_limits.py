@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 MAX_ORDER = 4
+_CHEB_TOL = 1e-13
 
 
 def c02_from_callables(h, h1, h2, a: float, b: float) -> TestFunction:
@@ -53,26 +54,25 @@ def c02_from_callables(h, h1, h2, a: float, b: float) -> TestFunction:
     return TestFunction(h, (a, b), derivs=(h1, h2))
 
 
-def _cheb_interpolate(fn: Callable, a: float, b: float, tol: float = 1e-13) -> Chebyshev:
-    """Chebyshev interpolant of fn on [a, b], the degree doubling from 16 until
-    the last four coefficients fall below tol of the largest, or it reaches 1024."""
+def _cheb_interpolate(fn: Callable, a: float, b: float) -> Chebyshev:
+    """Chebyshev interpolant of fn on [a, b], the degree doubling from 16 up to
+    1024 until the last four coefficients fall below _CHEB_TOL of the largest."""
     deg = 16
     while True:
         coef = Chebyshev.interpolate(lambda x: np.asarray(fn(x), dtype=complex),
                                      deg, domain=[a, b]).coef
         scale = np.max(np.abs(coef))
         tail = np.max(np.abs(coef[-4:])) if scale > 0 else 0.0
-        if deg >= 1024 or scale == 0.0 or tail <= tol * scale:
+        if deg >= 1024 or scale == 0.0 or tail <= _CHEB_TOL * scale:
             return Chebyshev(coef, domain=[a, b])
         deg *= 2
 
 
-def normalized_antiderivative(H: Callable, a: float, b: float, *,
-                              tol: float = 1e-13) -> TestFunction:
+def normalized_antiderivative(H: Callable, a: float, b: float) -> TestFunction:
     """Build the normalized h with h'' = H and h(a) = h(b) = 0, supported on [a, b]."""
     if not a < b:
         raise SpecError("require a < b")
-    series = _cheb_interpolate(H, a, b, tol=tol)
+    series = _cheb_interpolate(H, a, b)
     G = series.integ()
     G0 = G - G(a)
     # (1/(b-a)) * int_a^b (b-t) H(t) dt equals the mean of int_a^x H over [a, b].

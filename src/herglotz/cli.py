@@ -32,7 +32,7 @@ from .circle_line import consistency_gap, inversion_duality_gap
 from .errors import (DomainError, NonConvergentLimitError,
                      NonSimpleBehaviorError, SpecError)
 from .extrapolation import DIVERGENCE_FACTOR, LimitSchedule, diverged
-from .extraction import (atomic_mass_batch, density_grid, simple_scan,
+from .extraction import (_height_rows, atomic_mass_batch, density_grid, simple_scan,
                          vladimirov_norm)
 from .boundary_limits import phi_profile
 from .measures import (measure_from_json, measure_to_json, pushforward_mobius,
@@ -247,11 +247,11 @@ def _check_variation_bound(args, report):
     tv_fin = total_variation(measure, finite_part_only=True)
     ys = np.array([1.0, 0.1, 0.01])
 
-    def integrand(x, g):
-        upper, lower = _with_reflection(f, x + 1j * ys[g])
+    def integrand(x, y):
+        upper, lower = _with_reflection(f, x + 1j * y)
         return np.abs(upper - lower).astype(complex) / (1.0 + x * x)
 
-    vals, _ = _quad_rows(integrand, -math.inf, math.inf, ys.size, atol=1e-8)
+    vals = _height_rows(integrand, -math.inf, math.inf, 1e-8)(ys)
     for y, val in zip(ys.tolist(), vals.tolist()):
         bound = 2.0 * math.pi * y * tv_all + 2.0 * math.pi * tv_fin + 1e-8
         report["items"].append({"name": f"variation-bound(y={y})",

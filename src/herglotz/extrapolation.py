@@ -1,10 +1,11 @@
-"""Neville extrapolation of boundary limits over geometric schedules.
+"""Polynomial extrapolation of boundary limits over geometric schedules.
 
-Samples at y_k = y0 * ratio^k are polynomial-extrapolated to y = 0.  The
-tableau depth is capped so that the returned diagonal entry only depends on the
-smallest sampled heights, which keeps the extrapolation inside the disc of
-analyticity even when nearby boundary singularities limit its radius.  Every
-limit falls back to Aitken acceleration where that estimates a smaller error.
+Samples at y_k = y0 * ratio^k are extrapolated to y = 0 by sums with Lagrange
+weights set by the heights alone: the value sums the last order + 1 samples,
+and the error estimate is its distance from the sum over the order + 1 before
+the last.  Reading only the smallest heights keeps the extrapolation inside the
+disc of analyticity even when nearby boundary singularities limit its radius.  Every limit falls back to Aitken
+acceleration where that estimates a smaller error.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ __all__ = ["LimitSchedule", "ExtrapolatedLimit", "neville_zero_limit",
            "limit_from_samples", "aitken_limit", "best_limit"]
 
 DIVERGENCE_FACTOR = 1e-4
+_AITKEN_PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ def diverged(value, err, tol: float = DIVERGENCE_FACTOR):
 
 @dataclass(frozen=True)
 class ExtrapolatedLimit:
-    """Result of a y -> 0 extrapolation: final tableau entry plus an error estimate."""
+    """Result of a y -> 0 extrapolation: weighted-sum or Aitken value plus an error estimate."""
 
     value: complex
     error_estimate: float
@@ -88,34 +90,29 @@ class ExtrapolatedLimit:
         }
 
 
+def _at_zero(xs: np.ndarray, fs: np.ndarray):
+    """sum_k w_k fs_k, added one sample at a time, with the Lagrange weights at 0
+    w_k = prod_{j != k} x_j / (x_j - x_k): the polynomial through (xs, fs) at 0."""
+    q = xs[:, None] / (xs[:, None] - xs + np.eye(xs.size))
+    np.fill_diagonal(q, 1.0)
+    terms = (w * f for w, f in zip(q.prod(axis=0), fs))
+    return sum(terms, next(terms))
+
+
 def neville_zero_limit(xs: Sequence[float], fs, order: int = 8):
     """Polynomial extrapolation of samples (xs, fs) to x = 0.
 
     fs may be one-dimensional or of shape (len(xs), ...): trailing axes are
-    extrapolated in a single vectorized tableau.  Returns (value, error) with
-    error the difference of the last two tableau diagonal entries.  Those
-    two entries read only the last order + 2 samples, so the tableau is built
-    on those alone.
+    extrapolated column by column.  Returns (value, error): _at_zero of the
+    last order + 1 samples and its distance from _at_zero of the order + 1
+    before the last, the last two diagonal entries of a capped Neville tableau.
     """
     xs = np.asarray(xs, dtype=float)[-(order + 2):]
     fs = np.asarray(fs, dtype=complex)[-(order + 2):]
-    n = len(xs)
-    if n < 2:
+    if len(xs) < 2:
         return fs[0], np.full(fs.shape[1:], np.inf, dtype=float)
-    rows = [fs[0]]
-    prev = [fs[0]]
-    for i in range(1, n):
-        cur = [fs[i]]
-        depth = min(i, order)
-        for j in range(1, depth + 1):
-            # P at 0 through nodes x_{i-j}..x_i.
-            num = xs[i] * prev[j - 1] - xs[i - j] * cur[j - 1]
-            cur.append(num / (xs[i] - xs[i - j]))
-        rows.append(cur[-1])
-        prev = cur
-    value = rows[-1]
-    err = np.abs(rows[-1] - rows[-2])
-    return value, err
+    value = _at_zero(xs[-(order + 1):], fs[-(order + 1):])
+    return value, np.abs(value - _at_zero(xs[:-1], fs[:-1]))
 
 
 def limit_from_samples(ys: Sequence[float], values: Sequence[complex],
@@ -126,17 +123,17 @@ def limit_from_samples(ys: Sequence[float], values: Sequence[complex],
     return ExtrapolatedLimit(value, err, seq)
 
 
-def aitken_limit(values, passes: int = 2):
+def aitken_limit(values):
     """Iterated Aitken delta-squared acceleration of a convergent sequence.
 
     Handles geometrically convergent tails of unknown ratio (fractional-power
     boundary rates on geometric height schedules), which defeat polynomial
     extrapolation.  Works along axis 0; returns (value, error_estimate).
     Each pass shortens the sequence by two, so the last two entries read only
-    the last 2 passes + 2 values, and only those are accelerated.
+    the last 2 _AITKEN_PASSES + 2 values, and only those are accelerated.
     """
-    v = np.asarray(values, dtype=complex)[-(2 * passes + 2):]
-    for _ in range(passes):
+    v = np.asarray(values, dtype=complex)[-(2 * _AITKEN_PASSES + 2):]
+    for _ in range(_AITKEN_PASSES):
         if v.shape[0] < 3:
             break
         d1 = v[1:] - v[:-1]
@@ -153,9 +150,9 @@ def aitken_limit(values, passes: int = 2):
 
 def _limit_rows(n: int, order: int) -> list:
     """Indices of the samples among n that ``best_limit`` reads: the first,
-    for the growth test, and the last order + 2 for Neville and the last six
-    for two Aitken passes.  On those rows alone it returns the same bits."""
-    return [0, *range(max(1, n - max(order + 2, 6)), n)]
+    for the growth test, and the last order + 2 for Neville and the last
+    2 passes + 2 for Aitken.  On those rows alone it returns the same bits."""
+    return [0, *range(max(1, n - max(order + 2, 2 * _AITKEN_PASSES + 2)), n)]
 
 
 def best_limit(xs, values, order: int = 8):
@@ -168,8 +165,6 @@ def best_limit(xs, values, order: int = 8):
     values = np.asarray(values, dtype=complex)
     nev_val, nev_err = neville_zero_limit(xs, values, order=order)
     ait_val, ait_err = aitken_limit(values)
-    nev_val, nev_err = np.asarray(nev_val), np.asarray(nev_err)
-    ait_val, ait_err = np.asarray(ait_val), np.asarray(ait_err)
     grew = np.abs(values[-1]) > 8.0 * (np.abs(values[0]) + 1.0)
     use_nev = (nev_err <= ait_err) | grew
     value = np.where(use_nev, nev_val, ait_val)

@@ -73,11 +73,12 @@ def _exclusion_radii(spec: ReconstructionSpec, sigmas: np.ndarray,
     """Half-widths of the density-scan gaps around the sorted exceptional points.
 
     A point carrying mass contaminates pointwise density limits out to the
-    largest height the capped extrapolation tableau uses, so the gap must
-    clear that scale.  A massless exceptional point only pins a candidate; the
-    density continues through it and the gap stays at the floor 1e-3 so no
-    real mass is truncated.  The nearest other exceptional point, a neighbour in
-    sorted order, bounds the gap from above.
+    largest height whose sample the extrapolated value weights, the first of
+    the last order + 1, so the gap must clear that scale.  A massless
+    exceptional point only pins a candidate; the density continues through it
+    and the gap stays at the floor 1e-3 so no real mass is truncated.  The
+    nearest other exceptional point, a neighbour in sorted order, bounds the
+    gap from above.
     """
     sched = spec.schedule
     y_eff = sched.y0 * sched.ratio ** max(0, sched.steps - 1 - sched.order)
@@ -181,10 +182,10 @@ def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> Reconstruction
     cut_points.append(hi)
     pieces = [(u, v) for u, v in zip(cut_points[::2], cut_points[1::2]) if u < v]
 
-    # Every piece's nodes first; then the scan and the density tableau run
-    # over all pieces in one batch, split back per piece.  The tableau works
-    # column by column and every evaluator is batch invariant, so each piece
-    # gets exactly the values a call of its own gives.
+    # Every piece's nodes first; then the scan and the density limits run
+    # over all pieces in one batch, split back per piece.  The extrapolation
+    # adds weighted samples column by column and every evaluator is batch
+    # invariant, so each piece gets exactly the values a call of its own gives.
     blocks = [_piece_blocks(u, v) for u, v in pieces]
     piece_xs = [np.unique(np.concatenate([_lobatto_arctan(blo, bhi, spec.nodes_per_block)
                                           for blo, bhi in bs])) for bs in blocks]

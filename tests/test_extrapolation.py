@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from herglotz import LimitSchedule
 from herglotz.errors import SpecError
-from herglotz.extrapolation import (_limit_rows, aitken_limit, best_limit, diverged,
-                                    limit_from_samples, neville_zero_limit)
+from herglotz.extrapolation import (_AITKEN_PASSES, _limit_rows, aitken_limit, best_limit,
+                                    diverged, limit_from_samples, neville_zero_limit)
 
 
 def test_schedule_validation():
@@ -101,9 +101,9 @@ def _full_neville(xs, fs, order):
     return rows[-1], np.abs(rows[-1] - rows[-2])
 
 
-def _full_aitken(values, passes):
+def _full_aitken(values):
     v = np.asarray(values, dtype=complex)
-    for _ in range(passes):
+    for _ in range(_AITKEN_PASSES):
         if v.shape[0] < 3:
             break
         d1 = v[1:] - v[:-1]
@@ -125,11 +125,25 @@ def _same_bits(a, b):
 _SPECIAL = st.sampled_from([0.0, np.nan, np.inf, -np.inf])
 
 
+def _weight_sums(xs, order):
+    # |w_k| + |w'_k|, w and w' the Lagrange weights at 0 of the last two
+    # diagonal entries, read off the full tableau of the identity.
+    eye = np.eye(len(xs))
+    w = np.abs(_full_neville(xs, eye, order)[0])
+    if len(xs) > 1:
+        w[:-1] += np.abs(_full_neville(xs[:-1], eye[:-1, :-1], order)[0])
+    return w
+
+
 @settings(max_examples=300)
-@given(n=st.integers(1, 16), order=st.integers(1, 10), passes=st.integers(1, 3),
+@given(n=st.integers(1, 16), order=st.integers(1, 10),
        seed=st.integers(0, 2 ** 32 - 1), special=st.lists(_SPECIAL, max_size=3))
-def test_sliced_tableaux_are_bit_equal(n, order, passes, seed, special):
-    # Random columns, plus one per special value, which fills its tail.
+def test_sliced_tableaux_match_the_full_ones(n, order, seed, special):
+    # Random columns, plus one per special value, which fills its tail.  The
+    # weighted sums round differently from the full tableau: the value stays
+    # within 16 eps sum_k (|w_k| + |w'_k|) |f_k| of its value, the estimate
+    # within twice that, and a non-finite column stays non-finite where it is.
+    # Aitken is the same arithmetic, bit for bit.
     rng = np.random.default_rng(seed)
     xs = 0.5 * 0.5 ** np.arange(n)
     fs = rng.normal(size=(n, 2 + len(special))) + 1j * rng.normal(size=(n, 2 + len(special)))
@@ -137,10 +151,15 @@ def test_sliced_tableaux_are_bit_equal(n, order, passes, seed, special):
     for k, v in enumerate(special):
         fs[rng.integers(n):, 2 + k] = v
     with np.errstate(invalid="ignore", over="ignore"):
-        got, want = neville_zero_limit(xs, fs, order=order), _full_neville(xs, fs, order)
-        assert all(_same_bits(g, w) for g, w in zip(got, want))
-        got, want = aitken_limit(fs, passes=passes), _full_aitken(fs, passes)
-        assert all(_same_bits(g, w) for g, w in zip(got, want))
+        value, err = neville_zero_limit(xs, fs, order=order)
+        want_value, want_err = _full_neville(xs, fs, order)
+        bound = 16 * np.finfo(float).eps * (_weight_sums(xs, order) @ np.abs(fs))
+        finite = np.isfinite(fs).all(axis=0) & np.isfinite(want_err)
+        assert np.all(np.abs(value - want_value)[finite] <= bound[finite])
+        assert np.all(np.abs(err - want_err)[finite] <= 2 * bound[finite])
+        assert np.array_equal(np.isfinite(value), np.isfinite(want_value))
+        assert np.array_equal(np.isfinite(err), np.isfinite(want_err))
+        assert all(_same_bits(g, r) for g, r in zip(aitken_limit(fs), _full_aitken(fs)))
 
 
 @settings(max_examples=300)

@@ -58,13 +58,12 @@ def test_traced_attributes_exist():
     assert "argv" in inspect.signature(main).parameters
 
 
-def test_only_quadrature_cuts_the_line():
-    # How the line is cut into pieces and how a tail is mapped is decided in
-    # quadrature.py alone; other modules take panels from its walk.
-    owned = {"_line_pieces", "_tail_map"}
+def _names_outside(owner):
+    # (file name, every name, attribute and imported alias it uses) for each
+    # package module other than owner.
     src = Path(herglotz.__file__).resolve().parent
     for path in sorted(src.glob("*.py")):
-        if path.name == "quadrature.py":
+        if path.name == owner:
             continue
         names = set()
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -74,23 +73,28 @@ def test_only_quadrature_cuts_the_line():
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
-        assert not names & owned, f"{path.name} uses {sorted(names & owned)}"
+        yield path.name, names
+
+
+def test_only_quadrature_cuts_the_line():
+    # How the line is cut into pieces and how a tail is mapped is decided in
+    # quadrature.py alone; other modules take panels from its walk.
+    owned = {"_line_pieces", "_tail_map"}
+    for name, names in _names_outside("quadrature.py"):
+        assert not names & owned, f"{name} uses {sorted(names & owned)}"
 
 
 def test_only_extraction_gates_growth():
     # Whether f grows slowly enough near the boundary is decided in
     # extraction.py alone; other modules call its _require_simple.
     owned = {"_GROWTH_MARGIN", "sup_abs_growth"}
-    src = Path(herglotz.__file__).resolve().parent
-    for path in sorted(src.glob("*.py")):
-        if path.name == "extraction.py":
-            continue
-        names = set()
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-        assert not names & owned, f"{path.name} uses {sorted(names & owned)}"
+    for name, names in _names_outside("extraction.py"):
+        assert not names & owned, f"{name} uses {sorted(names & owned)}"
+
+
+def test_only_extrapolation_combines_samples():
+    # How samples are combined into a limit is decided in extrapolation.py
+    # alone; other modules hand their samples to best_limit or a schedule.
+    owned = {"neville_zero_limit", "aitken_limit", "_at_zero"}
+    for name, names in _names_outside("extrapolation.py"):
+        assert not names & owned, f"{name} uses {sorted(names & owned)}"
