@@ -28,7 +28,7 @@ from .catalog import AnalyticFunction, _interior_kinks
 from .errors import SpecError
 from .extraction import _require_simple, _side_sign
 from .measures import TestFunction
-from .quadrature import _lobatto, _power_weighted_zero, _refine, adaptive_quad
+from .quadrature import _MAX_PANELS, _lobatto, _power_weighted_zero, _refine, adaptive_quad
 
 __all__ = [
     "normalized_antiderivative",
@@ -99,7 +99,7 @@ def _corners(f: AnalyticFunction, xs, delta: float, m: int, sgn: float,
     integral refined to its own tolerance in one grouped quadrature."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     val, _ = _power_weighted_zero(lambda y, r: f(xs[r] + sgn * 1j * y), delta, m,
-                                  xs.size, atol=atol, rtol=1e-9)
+                                  xs.size, atol=atol)
     return val
 
 
@@ -203,7 +203,8 @@ def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
     # int_t^b for every node t from one reverse cumulative sum over the panels:
     # T0 = int (x - a + i delta) f and T1 = (b - a) int f, so
     # p = T0 - (t - a)/(b - a) T1, both columns with weight at most 1.
-    _, lo, _, val, _ = _refine(lambda x, g: line(x), ts[None], atol, 1e-9, 4000 + ts.size)
+    _, lo, _, val, _ = _refine(lambda x, g: line(x), ts[None], atol,
+                               max_panels=_MAX_PANELS + ts.size)
     tail = np.concatenate((np.cumsum(val[::-1], axis=0)[::-1],
                            np.zeros((1, 2))))[np.searchsorted(lo, ts)]
     w_b = (ts - a) / (b - a)

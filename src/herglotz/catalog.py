@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DomainError, SpecError
 from .measures import (BoundaryMeasure, measure_from_json, measure_to_json,
-                       INF, _image_pieces, _image_point)
-from .quadrature import _WK, _XK, _by_row, _refine, _walk
+                       INF, _conjugate_descriptor, _image_pieces, _image_point)
+from .quadrature import _WK, _XK, _by_row, _refine, _tail_nodes, _walk
 from .sphere import MobiusMatrix, mobius_apply_values
 
 __all__ = [
@@ -89,12 +89,21 @@ class AnalyticFunction:
 def _with_reflection(f: AnalyticFunction, z):
     """(f(z), f(z*)), z* the mirror image of z across the boundary: conj(z)
     on the half plane, 1/conj(z) on the disc.  A star-symmetric f is called
-    on z alone and f(z*) is conj f(z)."""
+    on z alone and f(z*) is conj f(z).
+
+    Otherwise the two sides stay two calls: grids reach 11 x 100 000 points
+    on closed-form functions, where one joint call saves no work and its
+    joined copies raise peak memory.  For the same reason z is dropped before
+    the second side is formed, so a grid passed as a temporary does not
+    outlive f(z).
+    """
     z = np.asarray(z, dtype=complex)
+    upper = f(z)
     if f.star_symmetric:
-        v = f(z)
-        return v, np.conj(v)
-    return f(z), f(np.conj(z) if f.picture == "half-plane" else 1.0 / np.conj(z))
+        del z
+        return upper, np.conj(upper)
+    z = np.conj(z) if f.picture == "half-plane" else 1.0 / np.conj(z)
+    return upper, f(z)
 
 
 def principal_log(z):
@@ -309,11 +318,11 @@ def _density_panels(parts):
     u = P["u"] = P["mid"][:, None] + P["half"][:, None] * _XK
     tail = P["A"] != 0.0
     s = P["s"] = u.copy() if tail.any() else u
-    s[tail] = P["A"][tail, None] / (u[tail] * u[tail])
+    s[tail], w = _tail_nodes(P["A"][tail, None], u[tail])
     q = P["q"] = np.empty(u.shape, dtype=complex)
     for (d, lo, _, _), end in zip(parts, np.cumsum([p[1].size for p in parts])):
         q[end - lo.size:end] = d(s[end - lo.size:end].ravel()).reshape(-1, _XK.size)
-    q[tail] *= 2.0 * np.abs(P["A"][tail, None]) / u[tail] ** 3
+    q[tail] *= w
     return P
 
 
@@ -388,6 +397,8 @@ def _measure_evaluator(measure: BoundaryMeasure, constant, atol: float):
     """z -> c + integral of (1+sz)/(s-z) dlambda(s) on the complement of the
     extended real line.  The densities are sampled on their panels at the
     first call, and the samples are kept."""
+    if measure.picture != "line":
+        raise SpecError("the Cauchy transform requires a line-picture measure")
     panels = cache(lambda: _line_panels(measure, atol))
 
     def fn(z):
@@ -445,7 +456,7 @@ def _disc_herglotz_eval(measure: BoundaryMeasure, constant, atol=1e-10):
             return None
         starts = [np.linspace(lo, hi, math.ceil((hi - lo) / (np.pi / 8.0)) + 1)
                   for lo, hi in (d.support for d in ds)]
-        row, lo, hi = _refine(_by_row(ds), starts, atol, 1e-9, 4000)[:3]
+        row, lo, hi = _refine(_by_row(ds), starts, atol)[:3]
         cut = np.searchsorted(row, np.arange(1, len(ds)))
         P = _density_panels([(d, l, h, np.zeros(l.size))
                              for d, l, h in zip(ds, np.split(lo, cut), np.split(hi, cut))])
@@ -497,16 +508,6 @@ def _exp_lattice(sigma: float, lo: float, hi: float, parity: str):
     n_lo = math.ceil(math.log(lo) / step - 1e-12)
     n_hi = math.floor(math.log(hi) / step + 1e-12)
     return np.exp(_parity(np.arange(n_lo, n_hi + 1), parity) * step)
-
-
-def _real_density(d) -> bool:
-    """Whether the density's own descriptor makes it real: a table with zero
-    imaginary parts or a catalog power density of real p.  An undescribed
-    density counts as complex."""
-    desc = d.descriptor or {}
-    if desc.get("kind") == "table":
-        return all(v[1] == 0 for v in desc["vals"])
-    return desc.get("kind", "").startswith("catalog-power") and desc["p"][1] == 0
 
 
 def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
@@ -592,7 +593,9 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
              "constant": [c.real, c.imag]},
             lambda lo, hi: atom_locs[(atom_locs > lo) & (atom_locs < hi)],
             c.imag == 0 and all(a.mass.imag == 0 for a in m.atoms)
-            and all(_real_density(d) for d in m.densities))
+            # A real density is its own conjugate; an undescribed one counts as complex.
+            and all(d.descriptor is not None and _conjugate_descriptor(d.descriptor) == d.descriptor
+                    for d in m.densities))
 
     if kind == "disc_herglotz":
         m = p["measure"]

@@ -43,12 +43,6 @@ __all__ = [
 _INFINITY_SCHEDULE = LimitSchedule(y0=0.25, ratio=0.5, steps=14)
 
 
-def _plus_minus_difference(f: AnalyticFunction, x, y):
-    """f(x + iy) - f(x - iy), the lower side by ``_with_reflection``."""
-    upper, lower = _with_reflection(f, np.asarray(x, dtype=float) + 1j * y)
-    return upper - lower
-
-
 def _height_rows(integrand, lo, hi, atol: float):
     """The ``sample`` of ``LimitSchedule.limit`` for the line integrals of
     integrand(x, y) over (lo, hi) at the heights ys: every height a row of one
@@ -67,31 +61,18 @@ def extract_functional(f: AnalyticFunction, test: TestFunction,
     silently discarded.
     """
     def integrand(x, y):
-        return test(x) * _plus_minus_difference(f, x, y) / (2j * np.pi * (1.0 + x * x))
+        upper, lower = _with_reflection(f, x + 1j * y)
+        return test(x) * (upper - lower) / (2j * np.pi * (1.0 + x * x))
 
     return sched.limit(_height_rows(integrand, *test.support, atol))
 
 
 def _density_samples(f: AnalyticFunction, xs: np.ndarray, ys: np.ndarray):
-    """(f(x+iy) - f(x-iy)) / (2 pi i (1+x^2)) with heights down axis 0.
-
-    A star-symmetric f is evaluated on the upper points only, f(x-iy) being
-    conj f(x+iy); the difference is formed in the conjugate's buffer, which
-    keeps the peak memory of a large grid down.  Otherwise the two sides stay
-    two calls: these grids reach 11 x 100 000 points on closed-form
-    functions, where one joint call saves no work and its joined copies raise
-    peak memory.  For the same reason the grid of upper points is dropped
-    before the lower side is evaluated.
-    """
-    Z = xs[None, :] + 1j * ys[:, None]
-    upper = f(Z)
-    if f.star_symmetric:
-        del Z
-        diff = np.conj(upper)
-        np.subtract(upper, diff, out=diff)
-    else:
-        Z = np.conj(Z)
-        diff = upper - f(Z)
+    """(f(x+iy) - f(x-iy)) / (2 pi i (1+x^2)) with heights down axis 0, both
+    sides from ``_with_reflection`` and the difference formed in the lower
+    side's buffer."""
+    upper, diff = _with_reflection(f, xs[None, :] + 1j * ys[:, None])
+    np.subtract(upper, diff, out=diff)
     diff /= 2j * np.pi * (1.0 + xs * xs)[None, :]
     return diff
 
@@ -197,17 +178,12 @@ class SimpleScanReport:
 
 
 def _scan_part(f: AnalyticFunction, lo: float, hi: float, ys, nx: int):
-    # Two calls, as in _density_samples: on a grid of a closed-form function
-    # one joint call saves no work and its joined copies raise peak memory.
-    # For a star-symmetric f the lower side equals the upper one.
+    # sup over each row of (|Im z| / (1 + |z|^2)) |f| on both sides of the line.
     xs = np.linspace(lo, hi, nx)
     Z = xs[None, :] + 1j * ys[:, None]
-    q_up = Z.imag / (1.0 + np.abs(Z) ** 2) * np.abs(f(Z))
-    if f.star_symmetric:
-        return q_up.max(axis=1)
-    Zl = np.conj(Z)
-    q_dn = -Zl.imag / (1.0 + np.abs(Zl) ** 2) * np.abs(f(Zl))
-    return np.maximum(q_up.max(axis=1), q_dn.max(axis=1))
+    w = Z.imag / (1.0 + np.abs(Z) ** 2)
+    upper, lower = _with_reflection(f, Z)
+    return np.maximum((w * np.abs(upper)).max(axis=1), (w * np.abs(lower)).max(axis=1))
 
 
 _SCAN_FLOOR = 1e-5

@@ -181,20 +181,21 @@ def conjugate(m: BoundaryMeasure) -> BoundaryMeasure:
     atoms = tuple(Atom(a.loc, np.conj(a.mass)) for a in m.atoms)
     densities = []
     for d in m.densities:
-        desc = None
-        if d.descriptor is not None:
-            kind = d.descriptor.get("kind")
-            if kind == "table":
-                desc = dict(d.descriptor)
-                desc["vals"] = [[v[0], -v[1]] for v in d.descriptor["vals"]]
-            elif kind in ("catalog-power", "catalog-power-log", "catalog-power-over-log"):
-                desc = dict(d.descriptor)
-                desc["p"] = [d.descriptor["p"][0], -d.descriptor["p"][1]]
-        if desc is not None:
-            densities.append(density_from_descriptor(desc))
-        else:
-            densities.append(DensityPart(d.support, _conj_wrap(d.fn), None))
+        desc = _conjugate_descriptor(d.descriptor)
+        densities.append(DensityPart(d.support, _conj_wrap(d.fn), None) if desc is None
+                         else density_from_descriptor(desc))
     return BoundaryMeasure(atoms, tuple(densities), m.picture, m.mixed_ok)
+
+
+def _conjugate_descriptor(desc: Optional[dict]) -> Optional[dict]:
+    """The descriptor of the conjugate density: a table's values or a catalog
+    power density's p conjugated; None for any other descriptor or none."""
+    kind = (desc or {}).get("kind")
+    if kind == "table":
+        return dict(desc, vals=[[re, -im] for re, im in desc["vals"]])
+    if kind in _CATALOG_DENSITIES:
+        return dict(desc, p=[desc["p"][0], -desc["p"][1]])
+    return None
 
 
 def _conj_wrap(fn):

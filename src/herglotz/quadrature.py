@@ -120,8 +120,15 @@ def _rank(rows: np.ndarray) -> np.ndarray:
     return np.arange(rows.size) - np.searchsorted(rows, rows)
 
 
-def _refine(f: Callable, edges: Sequence[np.ndarray], atol: float, rtol: float,
-            max_panels: int):
+# The convergence threshold every refinement meets unless its caller sets
+# its own: a row is done once its error sum is at most max(atol, _RTOL * |row
+# total|), or it holds _MAX_PANELS panels.
+_RTOL = 1e-9
+_MAX_PANELS = 4000
+
+
+def _refine(f: Callable, edges: Sequence[np.ndarray], atol: float, rtol: float = _RTOL,
+            max_panels: int = _MAX_PANELS):
     """Refine the panels between consecutive edges of each row of ``edges``,
     G 1-D edge arrays of any lengths (a (G, n+1) array is G rows) for G
     independent integrals with integrand f(x, g), g the row of each node,
@@ -216,7 +223,7 @@ def _one_row(val: np.ndarray, err: np.ndarray):
 
 
 def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = 1e-10,
-                  rtol: float = 1e-9, max_panels: int = 4000):
+                  rtol: float = _RTOL, max_panels: int = _MAX_PANELS):
     """Integrate a vectorized complex integrand over the finite interval [a, b].
 
     The integrand maps a node array of shape (k,) to values of shape (k,) or
@@ -247,12 +254,17 @@ def _tail_map(f: Callable, A: np.ndarray) -> Callable:
         if not tail.any():
             return f(v, rows)
         s = v.copy()
-        s[tail] = a[tail] / (v[tail] * v[tail])
+        s[tail], w = _tail_nodes(a[tail], v[tail])
         vals = np.array(f(s, rows), dtype=complex)
-        w = 2.0 * np.abs(a[tail]) / (v[tail] * v[tail] * v[tail])
         vals[tail] *= w.reshape(w.shape + (1,) * (vals.ndim - 1))
         return vals
     return g
+
+
+def _tail_nodes(A, v):
+    """The points s = A/v^2 of a tail at the nodes v and the weights |ds/dv| =
+    2|A|/v^3 there; A broadcasts against v."""
+    return A / (v * v), 2.0 * np.abs(A) / (v * v * v)
 
 
 def _line_pieces(lo: float, hi: float) -> list:
@@ -280,8 +292,8 @@ def _by_row(fns) -> Callable:
     return f
 
 
-def _walk(f: Callable, lo: np.ndarray, hi: np.ndarray, atol: float, rtol: float = 1e-9,
-          max_panels: int = 4000):
+def _walk(f: Callable, lo: np.ndarray, hi: np.ndarray, atol: float, rtol: float = _RTOL,
+          max_panels: int = _MAX_PANELS):
     """The panels of f(x, g) on (lo[g], hi[g]), lo <= hi, not all empty: each
     row's ``_line_pieces`` to atol / (its pieces), every piece a row of one
     ``_refine`` call, a direct piece from its two ends and a tail from two
@@ -299,7 +311,7 @@ def _walk(f: Callable, lo: np.ndarray, hi: np.ndarray, atol: float, rtol: float 
 
 
 def _quad_rows(f: Callable, lo, hi, n_rows: int, *, atol: float = 1e-10,
-               rtol: float = 1e-9, max_panels: int = 4000):
+               rtol: float = _RTOL, max_panels: int = _MAX_PANELS):
     """``quad_real_line`` of the rows integrand f(x, g) on (lo[g], hi[g]) for
     the ``n_rows`` rows g, lo and hi scalars or (n_rows,) arrays: the values
     (n_rows, ...) and errors (n_rows,).  Each row sums its pieces from one
@@ -315,8 +327,8 @@ def _quad_rows(f: Callable, lo, hi, n_rows: int, *, atol: float = 1e-10,
 
 
 def quad_real_line(f: Callable, lo: float = -math.inf, hi: float = math.inf, *,
-                   atol: float = 1e-10, rtol: float = 1e-9,
-                   max_panels: int = 4000):
+                   atol: float = 1e-10, rtol: float = _RTOL,
+                   max_panels: int = _MAX_PANELS):
     """Integrate f over an interval of the extended real line.
 
     Moderate finite intervals go to the panel rule directly; far tails go
@@ -329,7 +341,7 @@ def quad_real_line(f: Callable, lo: float = -math.inf, hi: float = math.inf, *,
 
 
 def _power_weighted_zero(g: Callable, delta: float, m: int, n_rows: int, *,
-                         atol: float, rtol: float):
+                         atol: float, rtol: float = _RTOL):
     """Improper integrals of y^m g(y, r) over (0, delta] for the ``n_rows``
     rows r, g bounded near 0, each row refined to its own tolerance: the
     values (n_rows, ...) and errors (n_rows,) of the rows.

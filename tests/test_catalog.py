@@ -394,6 +394,17 @@ def _disc_cosine(c):
         "measure": BoundaryMeasure((), (cosine,), "circle"), "constant": c}))
 
 
+def test_cauchy_refuses_a_circle_measure():
+    # Angles are not line points: both the builder and cauchy_eval refuse the
+    # measure, as disc_herglotz refuses a line one.
+    dens = DensityPart((-np.pi, np.pi), lambda t: np.cos(np.asarray(t, dtype=float)).astype(complex))
+    m = BoundaryMeasure((Atom(1.0, 1.0),), (dens,), "circle", mixed_ok=True)
+    with pytest.raises(SpecError, match="line-picture"):
+        catalog_build(CatalogSpec("cauchy", {"measure": m}))
+    with pytest.raises(SpecError, match="line-picture"):
+        cauchy_eval(m, 0.0, 2j)
+
+
 def test_disc_herglotz_near_circle():
     mpmath = pytest.importorskip("mpmath")
     c = 0.1j

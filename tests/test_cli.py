@@ -83,6 +83,32 @@ def test_extract_non_simple_exits_2(tmp_path, capsys):
     assert "non-simple behavior near 0" in err
 
 
+def test_extract_non_simple_window_exits_2(tmp_path, capsys):
+    spec = _write_spec(tmp_path / "p.json", {"kind": "power", "p": [-1.5, 0.0]})
+    code = main(["extract", "--spec", spec, "--window=-2,2", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "non-simple behavior on window" in capsys.readouterr().err
+
+
+def test_reconstruct_non_simple_exits_2(tmp_path, capsys):
+    spec = _write_spec(tmp_path / "p.json", {"kind": "power", "p": [-1.5, 0.0]})
+    code = main(["reconstruct", "--spec", spec, "--window=-2,1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "density scan piece [-2.0, 1.0]: |f| grows like y^-1.50" in capsys.readouterr().err
+
+
+def test_reconstruct_above_residual_bound_exits_3(tmp_path, power_half_spec):
+    # The truncated window leaves a residual of 0.97; both files are still written.
+    out = tmp_path / "out"
+    code = main(["reconstruct", "--spec", power_half_spec, "--window=-4,-1",
+                 "--residual-bound", "1e-12", "--out", str(out)])
+    assert code == 3
+    diagnostics = json.loads((out / "diagnostics.json").read_text())
+    assert diagnostics["resynthesis_residual"] > 0.5
+    assert json.loads((out / "measure.json").read_text())["densities"]
+
+
 def test_extract_tol_drives_divergence_test(tmp_path, power_half_spec):
     out = tmp_path / "out"
     assert main(["extract", "--spec", power_half_spec, "--window=-3,-1",
@@ -221,6 +247,20 @@ def test_check_missing_spec_is_config_error(tmp_path):
     assert main(["check", "vladimirov", "--out", str(tmp_path / "o")]) == 1
 
 
+def test_missing_measure_file_is_config_error(tmp_path, capsys):
+    spec = _write_spec(tmp_path / "c.json", {"kind": "cauchy", "measure": "nope.json"})
+    assert main(["check", "vladimirov", "--spec", spec, "--out", str(tmp_path / "o")]) == 1
+    assert "measure file not found" in capsys.readouterr().err
+
+
+def test_check_vladimirov_sigma_log_spec(tmp_path):
+    # sigma read from the JSON spec.
+    spec = _write_spec(tmp_path / "s.json", {"kind": "tan_sigma_log", "sigma": 1.5})
+    out = tmp_path / "out"
+    assert main(["check", "vladimirov", "--spec", spec, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["pass"] is True
+
+
 def test_unknown_check_name_is_config_error(tmp_path, capsys):
     assert main(["check", "no-such-suite", "--out", str(tmp_path / "o")]) == 1
     capsys.readouterr()
@@ -330,6 +370,17 @@ def test_check_variation_bound_overflowing_table_exit_1(tmp_path, capsys):
     code = main(["check", "variation-bound", "--spec", spec, "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_check_variation_bound_circle_measure_exits_1(tmp_path, capsys):
+    # A cauchy spec over circle angles is refused, not read as a line measure.
+    measure = {"picture": "circle", "atoms": [{"loc": 1.0, "mass": [1.0, 0.0]}],
+               "densities": []}
+    (tmp_path / "m.json").write_text(json.dumps(measure))
+    spec = _write_spec(tmp_path / "c.json", {"kind": "cauchy", "measure": "m.json"})
+    code = main(["check", "variation-bound", "--spec", spec, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "line-picture" in capsys.readouterr().err
 
 
 def test_check_inversion_duality(tmp_path):

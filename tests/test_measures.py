@@ -7,12 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from herglotz import (Atom, BoundaryMeasure, CatalogSpec, MobiusMatrix, TestFunction,
-                      catalog_build, conjugate, integrate, measure_from_json,
+                      catalog_build, cauchy_eval, conjugate, integrate, measure_from_json,
                       measure_to_json, measures, pushforward_mobius, table_density,
                       total_variation)
 from herglotz.catalog import compose_mobius
 from herglotz.errors import SpecError
-from herglotz.measures import DensityPart
+from herglotz.measures import DensityPart, density_from_descriptor
 from herglotz.testing import smooth_bump
 
 SQRT_DENSITY = DensityPart(
@@ -74,6 +74,20 @@ def test_conjugate():
     assert conjugate(real).atoms[0].mass == 1.5
     twice = conjugate(conjugate(m))
     assert twice.atoms[0].mass == 1j
+
+
+def test_conjugate_power_density():
+    # The conjugate of z^p's density is that of z^conj(p), and its Cauchy
+    # transform is conj f(conj z).
+    p = 0.3 + 0.4j
+    d = density_from_descriptor({"kind": "catalog-power", "p": [p.real, p.imag],
+                                 "support": [-np.inf, 0.0]})
+    m = BoundaryMeasure((), (d,))
+    [dc] = conjugate(m).densities
+    assert dc.descriptor["p"] == [p.real, -p.imag]
+    z = np.array([0.5 + 1j, -2.0 + 0.3j, 3.0 - 1e-3j, -1e-3 - 2j])
+    expected = np.conj(cauchy_eval(m, 0.0, np.conj(z)))
+    assert np.max(np.abs(cauchy_eval(conjugate(m), 0.0, z) - expected)) <= 1e-13
 
 
 def test_total_variation():

@@ -7,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import herglotz
-from herglotz import quadrature
+from herglotz import catalog, quadrature
 from herglotz.catalog import AnalyticFunction
 from herglotz.cli import main
 from herglotz.measures import BoundaryMeasure, DensityPart
@@ -44,6 +46,18 @@ def test_perfbench_herglotz_imports_resolve():
                 mod = importlib.import_module(node.module)
                 missing = [a.name for a in node.names if not hasattr(mod, a.name)]
                 assert not missing, f"{path.name}: {node.module} lacks {missing}"
+
+
+def test_benchmark_workloads_pass_their_checks(tmp_path, monkeypatch):
+    # One round of each benchmark workload at seed 7, every operation passing
+    # its check, the known-fault points included.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    workloads = importlib.import_module("workloads")
+    for name in workloads.WORKLOADS:
+        wl = workloads.build(name, 7, tmp_path / name)
+        report = wl.check(wl.run_round())
+        assert report["failed"] == 0, f"{name}: {report['failed_calls']}"
 
 
 def test_traced_attributes_exist():
@@ -98,3 +112,48 @@ def test_only_extrapolation_combines_samples():
     owned = {"neville_zero_limit", "aitken_limit", "_at_zero"}
     for name, names in _names_outside("extrapolation.py"):
         assert not names & owned, f"{name} uses {sorted(names & owned)}"
+
+
+def test_only_catalog_reads_star_symmetry():
+    # Whether the lower side of a mirror pair is the conjugate of the upper one
+    # is decided in catalog.py alone; other modules take both sides from its
+    # _with_reflection.
+    for name, names in _names_outside("catalog.py"):
+        assert "star_symmetric" not in names, name
+
+
+def test_only_quadrature_sets_the_threshold():
+    # The relative tolerance and the panel budget of a refinement are
+    # quadrature.py's defaults; other modules pass atol alone, or a budget
+    # built from _MAX_PANELS.
+    src = Path(herglotz.__file__).resolve().parent
+    kernels = {"_refine", "_walk", "_quad_rows", "_power_weighted_zero"}
+    for path in sorted(src.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if fn not in kernels:
+                continue
+            params = list(inspect.signature(getattr(quadrature, fn)).parameters)
+            where = f"{path.name}:{node.lineno} {fn}"
+            assert len(node.args) <= params.index("rtol"), where
+            for kw in node.keywords:
+                assert kw.arg != "rtol", where
+                assert kw.arg != "max_panels" or not any(
+                    isinstance(c, ast.Constant) and isinstance(c.value, (int, float))
+                    for c in ast.walk(kw.value)), where
+
+
+def test_line_panel_tails_are_the_tail_map():
+    # The cauchy evaluator samples a fitted density on its tail panels exactly
+    # as quadrature's tail map samples it at the same nodes (8 of these 60
+    # samples differed by one ulp while catalog wrote the map again).
+    lorentz = lambda s: (1.0 / (np.pi * (1.0 + s * s))).astype(complex)
+    d = DensityPart((-np.inf, np.inf), lorentz)
+    _, P = catalog._line_panels(BoundaryMeasure((), (d,)), 1e-10)
+    rows = np.repeat(np.arange(P["A"].size), quadrature._XK.size)
+    mapped = quadrature._tail_map(lambda s, g: d(s), P["A"])(P["u"].ravel(), rows)
+    assert np.array_equal(P["q"].ravel(), mapped)

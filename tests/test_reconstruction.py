@@ -8,7 +8,8 @@ from herglotz import (AnalyticFunction, Atom, BoundaryMeasure, CatalogSpec,
                       density_grid, integrate, pushforward_mobius, reconstruct,
                       resynthesis_residual, tan_sigma_log_masses)
 from herglotz.catalog import compose_mobius, star_reflect
-from herglotz.measures import density_from_descriptor
+from herglotz.measures import DensityPart, density_from_descriptor
+from herglotz.reconstruction import _window_truncated
 from herglotz.errors import NonSimpleBehaviorError, SpecError
 from herglotz.testing import smooth_bump
 
@@ -253,3 +254,25 @@ def test_reconstruction_diagnostics(minus_inverse):
     radii = res.diagnostics["exclusion_radii"]
     assert radii["1.0"] == radii["1.001"] == 0.45 * (1.001 - 1.0)
     assert radii["0.0"] == d["exclusion_radii"]["0.0"]
+
+
+def test_wide_piece_splits_at_plus_minus_one():
+    # A piece crossing 0 and wider than 100 gets blocks split at -1 and 1.  The
+    # Cauchy transform of 1/(pi(1 + s^2)) is +-i; the one table holds that
+    # density at its nodes (between nodes it is far coarser).
+    lorentz = lambda s: (1.0 / (np.pi * (1.0 + np.asarray(s, dtype=float) ** 2))).astype(complex)
+    f = catalog_build(CatalogSpec("cauchy", {"measure": BoundaryMeasure(
+        (), (DensityPart((-np.inf, np.inf), lorentz),))}))
+    res = reconstruct(f, ReconstructionSpec((-300.0, 200.0)))
+    [table] = res.measure.densities
+    xs = np.array(table.descriptor["xs"])
+    assert -1.0 in xs and 1.0 in xs
+    vals = np.array([complex(*v) for v in table.descriptor["vals"]])
+    assert np.max(np.abs(vals - lorentz(xs))) <= 1e-10
+
+
+def test_point_support_outside_the_window_truncates():
+    f = catalog_build(CatalogSpec("rational", {"a": 0, "b": 0, "poles": [5.0],
+                                               "coeffs": [1.0]}))
+    assert _window_truncated(f, -3.0, 3.0)
+    assert not _window_truncated(f, -3.0, 6.0)
