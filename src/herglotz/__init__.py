@@ -18,7 +18,7 @@ from .catalog import (AnalyticFunction, CatalogSpec, catalog_build,
 from .extrapolation import LimitSchedule, ExtrapolatedLimit
 from .extraction import (extract_functional, density_at, density_grid,
                          atomic_mass_at, atomic_mass_at_infinity,
-                         vladimirov_norm, simple_scan, PolarGrid)
+                         vladimirov_norm, simple_scan)
 from .boundary_limits import (normalized_antiderivative,
                               c02_from_callables, boundary_functional,
                               phi_profile, PhiProfile, pair_with_phi,

@@ -93,18 +93,15 @@ def normalized_antiderivative(H: Callable, a: float, b: float) -> TestFunction:
     return TestFunction(h, (a, b), derivs=(h1, H))
 
 
-def _corners(f: AnalyticFunction, xs, delta: float, m: int, sgn: float,
-             atol: float) -> np.ndarray:
+def _corners(f: AnalyticFunction, xs, delta: float, m: int, sgn: float) -> np.ndarray:
     """int_0^delta y^m f(x + sgn*i*y) dy for each x in xs, every point's
     integral refined to its own tolerance in one grouped quadrature."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    val, _ = _power_weighted_zero(lambda y, r: f(xs[r] + sgn * 1j * y), delta, m,
-                                  xs.size, atol=atol)
-    return val
+    return _power_weighted_zero(lambda y, r: f(xs[r] + sgn * 1j * y), delta, m, xs.size)[0]
 
 
 def boundary_functional(f: AnalyticFunction, h02: TestFunction, delta: float, *,
-                        side: str = "upper", atol: float = 1e-11) -> complex:
+                        side: str = "upper") -> complex:
     """Boundary limit of int h(x) f(x + iy) dx as y -> +0 (or y -> -0 for the lower side).
 
     This is the order-1 limit plus the endpoint terms h'(b) E(b) - h'(a) E(a),
@@ -112,8 +109,8 @@ def boundary_functional(f: AnalyticFunction, h02: TestFunction, delta: float, *,
     when h' does not vanish at a and b.
     """
     a, b = h02.support
-    val = boundary_limit_order_m(f, h02, a, b, delta, 1, side=side, atol=atol)
-    e_a, e_b = _corners(f, (a, b), delta, 1, _side_sign(side), atol)
+    val = boundary_limit_order_m(f, h02, a, b, delta, 1, side=side)
+    e_a, e_b = _corners(f, (a, b), delta, 1, _side_sign(side))
     h1a, h1b = h02.derivative(1)(np.array([a, b]))
     return complex(val + h1b * e_b - h1a * e_a)
 
@@ -164,8 +161,7 @@ def _check_box(a: float, b: float, delta: float):
 
 
 def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
-                nodes: int = 129, side: str = "upper",
-                atol: float = 1e-11) -> PhiProfile:
+                nodes: int = 129, side: str = "upper") -> PhiProfile:
     """Sample the profile Phi against which h'' pairs to give the boundary limit.
 
     Phi(t) = int_t^b (x + i delta - t) f(x + i delta) dx
@@ -179,8 +175,8 @@ def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
     is continuous but can fail to be differentiable.  The line integrals of
     every node come from one cumulative quadrature over [a, b] with the nodes
     as panel edges, in two columns that enter Phi with weight at most 1, so
-    one tolerance, atol or 1e-9 of the larger column integral over [a, b],
-    bounds each column's error at every node.
+    quadrature's one tolerance, max(1e-10, 1e-9 of the larger column integral
+    over [a, b]), bounds each column's error at every node.
     """
     _check_box(a, b, delta)
     if nodes < 5:
@@ -203,21 +199,20 @@ def phi_profile(f: AnalyticFunction, a: float, b: float, delta: float, *,
     # int_t^b for every node t from one reverse cumulative sum over the panels:
     # T0 = int (x - a + i delta) f and T1 = (b - a) int f, so
     # p = T0 - (t - a)/(b - a) T1, both columns with weight at most 1.
-    _, lo, _, val, _ = _refine(lambda x, g: line(x), ts[None], atol,
+    _, lo, _, val, _ = _refine(lambda x, g: line(x), ts[None],
                                max_panels=_MAX_PANELS + ts.size)
     tail = np.concatenate((np.cumsum(val[::-1], axis=0)[::-1],
                            np.zeros((1, 2))))[np.searchsorted(lo, ts)]
     w_b = (ts - a) / (b - a)
     w_a = (b - ts) / (b - a)
     p = tail[:, 0] - w_b * tail[:, 1]
-    e = _corners(f, ts, delta, 1, sgn, atol)
+    e = _corners(f, ts, delta, 1, sgn)
     phi = p - w_a * p[0] + w_b * e[-1] + w_a * e[0] - e
     return PhiProfile(float(a), float(b), float(delta), tuple(map(float, edges)),
                       tuple(ts.tolist()), tuple(phi.tolist()))
 
 
-def pair_with_phi(profile: PhiProfile, h02: TestFunction, *,
-                  atol: float = 1e-10) -> complex:
+def pair_with_phi(profile: PhiProfile, h02: TestFunction) -> complex:
     """Quadrature of h'' against the profile interpolant, segment by segment."""
     a, b = h02.support
     if abs(profile.a - a) > 1e-12 or abs(profile.b - b) > 1e-12:
@@ -231,7 +226,7 @@ def pair_with_phi(profile: PhiProfile, h02: TestFunction, *,
         val, _ = adaptive_quad(
             lambda t: h2(t) * _barycentric(seg_t, seg_v,
                                            np.atleast_1d(np.asarray(t, dtype=float))),
-            lo, hi, atol=atol)
+            lo, hi)
         total += val
     return complex(total)
 
@@ -253,7 +248,7 @@ def _test_derivative(test: TestFunction, k: int, a: float, b: float,
 
 def boundary_limit_order_m(f: AnalyticFunction, test: TestFunction, a: float,
                            b: float, delta: float, m: int, *,
-                           side: str = "upper", atol: float = 1e-11) -> complex:
+                           side: str = "upper") -> complex:
     """Order-m distributional boundary limit of int test(x) f(x +- iy) dx.
 
     Requires y^m f(x + iy) bounded over the box; the test function must vanish
@@ -273,13 +268,11 @@ def boundary_limit_order_m(f: AnalyticFunction, test: TestFunction, a: float,
     line = lambda x: f(np.asarray(x, dtype=float) + sgn * 1j * delta)
     for k in range(m + 1):
         dk, cheb = _test_derivative(test, k, a, b, cheb)
-        term, _ = adaptive_quad(lambda x: np.asarray(dk(x), dtype=complex) * line(x),
-                                a, b, atol=atol)
+        term, _ = adaptive_quad(lambda x: np.asarray(dk(x), dtype=complex) * line(x), a, b)
         total += (sgn * 1j * delta) ** k / math.factorial(k) * term
 
     dtop, cheb = _test_derivative(test, m + 1, a, b, cheb)
     rem, _ = adaptive_quad(
-        lambda x: np.asarray(dtop(x), dtype=complex) * _corners(f, x, delta, m, sgn, atol),
-        a, b, atol=atol * 10)
+        lambda x: np.asarray(dtop(x), dtype=complex) * _corners(f, x, delta, m, sgn), a, b)
     total += (sgn * 1j) ** (m + 1) / math.factorial(m) * rem
     return complex(total)

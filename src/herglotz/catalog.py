@@ -326,14 +326,14 @@ def _density_panels(parts):
     return P
 
 
-def _line_panels(measure: BoundaryMeasure, atol: float):
+def _line_panels(measure: BoundaryMeasure):
     """The panels of a line measure's densities: those in s and the tails in
     v, each a dict as from ``_density_panels``, None where there are none."""
     kinds = [(d.descriptor or {}).get("kind", "") for d in measure.densities]
     fit = [d for d, kind in zip(measure.densities, kinds)
            if kind != "table" and not kind.startswith("catalog-power")]
     if fit:
-        row, piece, A, lo, hi = _walk(_by_row(fit), *np.array([d.support for d in fit]).T, atol)[:5]
+        row, piece, A, lo, hi = _walk(_by_row(fit), *np.array([d.support for d in fit]).T)[:5]
         cut = np.searchsorted(row[piece], np.arange(1, len(fit)))
         fitted = zip(*(np.split(x, cut) for x in (lo, hi, A)))
     parts = []
@@ -393,13 +393,13 @@ def _tail_near(P):
     return poles, terms
 
 
-def _measure_evaluator(measure: BoundaryMeasure, constant, atol: float):
+def _measure_evaluator(measure: BoundaryMeasure, constant):
     """z -> c + integral of (1+sz)/(s-z) dlambda(s) on the complement of the
     extended real line.  The densities are sampled on their panels at the
     first call, and the samples are kept."""
     if measure.picture != "line":
         raise SpecError("the Cauchy transform requires a line-picture measure")
-    panels = cache(lambda: _line_panels(measure, atol))
+    panels = cache(lambda: _line_panels(measure))
 
     def fn(z):
         arr, scalar = _as_complex_array(z)
@@ -420,10 +420,11 @@ def _measure_evaluator(measure: BoundaryMeasure, constant, atol: float):
     return fn
 
 
-def cauchy_eval(measure: BoundaryMeasure, constant, z, *, atol: float = 1e-10):
+def cauchy_eval(measure: BoundaryMeasure, constant, z):
     """Evaluate c + integral of (1+sz)/(s-z) dlambda(s) off the extended real
-    line; ``atol`` bounds the refinement of densities without a descriptor."""
-    return _measure_evaluator(measure, constant, atol)(z)
+    line; densities without a descriptor are refined to quadrature's
+    tolerance."""
+    return _measure_evaluator(measure, constant)(z)
 
 
 def _circle_near(P):
@@ -446,7 +447,7 @@ def _circle_near(P):
     return (lambda w, ib: [pole(w, ib)[2]]), terms
 
 
-def _disc_herglotz_eval(measure: BoundaryMeasure, constant, atol=1e-10):
+def _disc_herglotz_eval(measure: BoundaryMeasure, constant):
     """w -> c + sum of the atoms + (1/2pi) integral of (e^{it}+w)/(e^{it}-w)
     rho(t) dt off the unit circle.  The densities are sampled on their panels
     at the first call, and the samples are kept."""
@@ -456,7 +457,7 @@ def _disc_herglotz_eval(measure: BoundaryMeasure, constant, atol=1e-10):
             return None
         starts = [np.linspace(lo, hi, math.ceil((hi - lo) / (np.pi / 8.0)) + 1)
                   for lo, hi in (d.support for d in ds)]
-        row, lo, hi = _refine(_by_row(ds), starts, atol)[:3]
+        row, lo, hi = _refine(_by_row(ds), starts)[:3]
         cut = np.searchsorted(row, np.arange(1, len(ds)))
         P = _density_panels([(d, l, h, np.zeros(l.size))
                              for d, l, h in zip(ds, np.split(lo, cut), np.split(hi, cut))])
@@ -587,7 +588,7 @@ def catalog_build(spec: CatalogSpec) -> AnalyticFunction:
             + tuple(("point", a.loc) for a in m.atoms)
         atom_locs = np.array([a.loc for a in m.atoms if math.isfinite(a.loc)])
         return AnalyticFunction(
-            _measure_evaluator(m, c, 1e-10),
+            _measure_evaluator(m, c),
             "half-plane", support, True,
             {"kind": "cauchy", "measure": measure_to_json(m),
              "constant": [c.real, c.imag]},

@@ -69,7 +69,7 @@ def to_disc(f: AnalyticFunction) -> AnalyticFunction:
                             {"kind": "disc-companion", "base": f.descriptor})
 
 
-def _circle_rows(phi: AnalyticFunction, test: TestFunction, atol: float):
+def _circle_rows(phi: AnalyticFunction, test: TestFunction):
     """``circle_measure_functional`` at the radii rs, as the function of rs
     that gives each radius a row of one refinement."""
     if phi.picture != "disc":
@@ -82,11 +82,11 @@ def _circle_rows(phi: AnalyticFunction, test: TestFunction, atol: float):
     lo, hi = test.support
     if hi - lo > 2.0 * math.pi:
         lo, hi = -math.pi, math.pi
-    return _height_rows(integrand, lo, hi, atol)
+    return _height_rows(integrand, lo, hi)
 
 
 def circle_measure_functional(phi: AnalyticFunction, r: float,
-                              test: TestFunction, *, atol: float = 1e-11) -> complex:
+                              test: TestFunction) -> complex:
     """Pair the circle measure at radius r with an angle test function.
 
     The measure's density is (phi(r e^{it}) - phi(e^{it}/r)) / 2, the mirror
@@ -97,14 +97,13 @@ def circle_measure_functional(phi: AnalyticFunction, r: float,
     """
     if not 0.0 < r < 1.0:
         raise SpecError("require 0 < r < 1")
-    return complex(_circle_rows(phi, test, atol)(np.array([r], dtype=float))[0])
+    return complex(_circle_rows(phi, test)(np.array([r], dtype=float))[0])
 
 
 def circle_limit(phi: AnalyticFunction, test: TestFunction,
-                 rsched: RadiusSchedule = RadiusSchedule(), *,
-                 atol: float = 1e-11) -> ExtrapolatedLimit:
+                 rsched: RadiusSchedule = RadiusSchedule()) -> ExtrapolatedLimit:
     """Weak* limit of the circle measures against a test function, r -> 1."""
-    rows = _circle_rows(phi, test, atol)
+    rows = _circle_rows(phi, test)
     return rsched.limit(lambda gaps: rows(1.0 - gaps))
 
 
@@ -143,7 +142,7 @@ def _gap_report(lhs: ExtrapolatedLimit, rhs: ExtrapolatedLimit, lhs_what: str,
 
 
 def _inner_circle_side(f: AnalyticFunction, test: TestFunction,
-                       rsched: RadiusSchedule, atol: float) -> ExtrapolatedLimit:
+                       rsched: RadiusSchedule) -> ExtrapolatedLimit:
     """r -> 1 limit of int test(tan(t/2)) phi(r e^{it}) dt over the image of
     the test support, phi the disc companion of f."""
     disc = to_disc(f)
@@ -153,21 +152,19 @@ def _inner_circle_side(f: AnalyticFunction, test: TestFunction,
     def integrand(t, gap):
         return test(np.tan(0.5 * t)) * disc((1.0 - gap) * np.exp(1j * t))
 
-    return rsched.limit(_height_rows(integrand, ta, tb, atol))
+    return rsched.limit(_height_rows(integrand, ta, tb))
 
 
-def _line_rows(f: AnalyticFunction, test: TestFunction, lo: float, hi: float,
-               atol: float):
+def _line_rows(f: AnalyticFunction, test: TestFunction, lo: float, hi: float):
     """The heights' rows of int_lo^hi test(s) f(s + iy) 2/(1+s^2) ds, the
     half-plane side of the chart change."""
     return _height_rows(lambda s, y: test(s) * f(s + 1j * y) * 2.0 / (1.0 + s * s),
-                        lo, hi, atol)
+                        lo, hi)
 
 
 def consistency_gap(f: AnalyticFunction, test: TestFunction,
                     sched: LimitSchedule = LimitSchedule(),
-                    rsched: RadiusSchedule = RadiusSchedule(), *,
-                    atol: float = 1e-11) -> GapReport:
+                    rsched: RadiusSchedule = RadiusSchedule()) -> GapReport:
     """Gap between the transported inner-circle limit and the half-plane limit.
 
     The circle side evaluates the disc companion of f along shrinking inner
@@ -175,8 +172,8 @@ def consistency_gap(f: AnalyticFunction, test: TestFunction,
     limit against test(s) with the 2/(1+s^2) weight.  Both sides must
     converge; the gap certifies the change of boundary charts.
     """
-    circle = _inner_circle_side(f, test, rsched, atol)
-    rows = _line_rows(f, test, *test.support, atol)
+    circle = _inner_circle_side(f, test, rsched)
+    rows = _line_rows(f, test, *test.support)
     line = sched.limit(lambda ys: -1j * rows(ys))
     return _gap_report(circle, line, "circle-side limit", "line-side limit",
                        1.0 - rsched.heights, sched.heights)
@@ -203,8 +200,7 @@ def _transport_inversion(test: TestFunction) -> TestFunction:
 
 
 def inversion_duality_gap(f: AnalyticFunction, test: TestFunction,
-                          sched: LimitSchedule = LimitSchedule(), *,
-                          atol: float = 1e-11) -> GapReport:
+                          sched: LimitSchedule = LimitSchedule()) -> GapReport:
     """Gap in int test(x) f(x+i0)/(1+x^2) dx = int test(-1/x) f(-1/x + i0)/(1+x^2) dx.
 
     The test support must stay away from 0 and infinity.
@@ -217,7 +213,7 @@ def inversion_duality_gap(f: AnalyticFunction, test: TestFunction,
 
     def side(fn, tst):
         return sched.limit(_height_rows(lambda x, y: tst(x) * fn(x + 1j * y) / (1.0 + x * x),
-                                        *tst.support, atol))
+                                        *tst.support))
 
     lhs = side(f, test)
     rhs = side(tilde_f, tilde_test)
@@ -226,8 +222,7 @@ def inversion_duality_gap(f: AnalyticFunction, test: TestFunction,
 
 def joined_distribution_check(f: AnalyticFunction, test: TestFunction,
                               sched: LimitSchedule = LimitSchedule(),
-                              rsched: RadiusSchedule = JOINED_R_SCHEDULE, *,
-                              atol: float = 1e-11) -> GapReport:
+                              rsched: RadiusSchedule = JOINED_R_SCHEDULE) -> GapReport:
     """Full-period circle pairing versus the two-chart line pairing.
 
     The circle side integrates test(tan(t/2)) phi(r e^{it}) over the image of
@@ -236,9 +231,9 @@ def joined_distribution_check(f: AnalyticFunction, test: TestFunction,
     Tests must be smooth on the extended line (equal limits at both
     infinities).
     """
-    circle = _inner_circle_side(f, test, rsched, atol)
-    near = _line_rows(f, test, -1.0, 1.0, atol)
-    far = _line_rows(invert_variable(f), _transport_inversion(test), -1.0, 1.0, atol)
+    circle = _inner_circle_side(f, test, rsched)
+    near = _line_rows(f, test, -1.0, 1.0)
+    far = _line_rows(invert_variable(f), _transport_inversion(test), -1.0, 1.0)
     line = sched.limit(lambda ys: -1j * (near(ys) + far(ys)))
     return _gap_report(circle, line, "circle-side limit", "line-side limit",
                        1.0 - rsched.heights, sched.heights)

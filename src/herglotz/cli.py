@@ -98,13 +98,10 @@ def _schedule(args) -> LimitSchedule:
     return LimitSchedule(y0=args.y0, ratio=args.ratio, steps=args.steps)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
+# The writers make the output directory, so that no subcommand makes it before
+# it has a file to put there.
 def _write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
@@ -112,6 +109,7 @@ def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(float(v)) for v in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -137,7 +135,7 @@ def cmd_extract(args) -> int:
         raise SpecError(f"--nodes must be at least 2, got {args.nodes}")
     sigma = _parse_numbers(args.sigma_points)
     sched = _schedule(args)
-    out = _out_dir(args)
+    out = Path(args.out)
 
     diag = _global_simple_check(f, (lo, hi))
     if diag and not args.force:
@@ -192,7 +190,7 @@ def cmd_reconstruct(args) -> int:
         nodes_per_block=args.nodes_per_block,
         schedule=_schedule(args),
     )
-    out = _out_dir(args)
+    out = Path(args.out)
     result = reconstruct(f, spec)
     residual = resynthesis_residual(f, result, probes)
 
@@ -295,7 +293,7 @@ _CHECKS = {
 
 
 def cmd_check(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     report = {"name": args.name, "items": []}
     _CHECKS[args.name](args, report)
     report["pass"] = all(item["pass"] for item in report["items"])
@@ -314,7 +312,7 @@ def cmd_mobius(args) -> int:
     if len(vals) != 4:
         raise SpecError("matrix must be 'a,b,c,d'")
     moved = pushforward_mobius(measure, MobiusMatrix(*vals))
-    out = _out_dir(args)
+    out = Path(args.out)
     _write_json(out / "measure.json", measure_to_json(moved))
     return EXIT_OK
 
@@ -322,7 +320,7 @@ def cmd_mobius(args) -> int:
 def cmd_phi_profile(args) -> int:
     f = _load_spec(args.spec)
     lo, hi = _parse_window(args.window)
-    out = _out_dir(args)
+    out = Path(args.out)
     prof = phi_profile(f, lo, hi, args.delta, nodes=args.nodes, side=args.side)
     _write_csv(out / "phi_profile.csv", ("t", "re", "im"), prof.rows())
     _write_json(out / "summary.json", {
@@ -334,7 +332,7 @@ def cmd_phi_profile(args) -> int:
 
 def cmd_circle_line(args) -> int:
     gap = _circle_line_gap(args)
-    _write_json(_out_dir(args) / "gap.json", gap.to_json())
+    _write_json(Path(args.out) / "gap.json", gap.to_json())
     return EXIT_OK
 
 

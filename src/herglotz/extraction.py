@@ -23,10 +23,9 @@ from .errors import NonSimpleBehaviorError, SpecError
 from .extrapolation import (ExtrapolatedLimit, LimitSchedule, _limit_rows, best_limit,
                             diverged, limit_from_samples)
 from .measures import TestFunction, _image_pieces
-from .quadrature import _quad_rows
+from .quadrature import _ATOL, _quad_rows
 
 __all__ = [
-    "PolarGrid",
     "SimpleScanReport",
     "extract_functional",
     "density_at",
@@ -43,7 +42,7 @@ __all__ = [
 _INFINITY_SCHEDULE = LimitSchedule(y0=0.25, ratio=0.5, steps=14)
 
 
-def _height_rows(integrand, lo, hi, atol: float):
+def _height_rows(integrand, lo, hi, atol: float = _ATOL):
     """The ``sample`` of ``LimitSchedule.limit`` for the line integrals of
     integrand(x, y) over (lo, hi) at the heights ys: every height a row of one
     ``_quad_rows`` call, each node given its row's height y."""
@@ -53,8 +52,7 @@ def _height_rows(integrand, lo, hi, atol: float):
 
 
 def extract_functional(f: AnalyticFunction, test: TestFunction,
-                       sched: LimitSchedule = LimitSchedule(), *,
-                       atol: float = 1e-10) -> ExtrapolatedLimit:
+                       sched: LimitSchedule = LimitSchedule()) -> ExtrapolatedLimit:
     """Extrapolated value of the line-inversion functional against a test function.
 
     A non-convergent tableau is reported through the error estimate, never
@@ -64,7 +62,7 @@ def extract_functional(f: AnalyticFunction, test: TestFunction,
         upper, lower = _with_reflection(f, x + 1j * y)
         return test(x) * (upper - lower) / (2j * np.pi * (1.0 + x * x))
 
-    return sched.limit(_height_rows(integrand, *test.support, atol))
+    return sched.limit(_height_rows(integrand, *test.support))
 
 
 def _density_samples(f: AnalyticFunction, xs: np.ndarray, ys: np.ndarray):
@@ -144,20 +142,11 @@ def atomic_mass_at_infinity(f: AnalyticFunction) -> complex:
     return complex(value) / 1j
 
 
-@dataclass(frozen=True)
-class PolarGrid:
-    """Log-spaced radii, uniform interior angles, for upper half plane scans."""
-
-    r_min: float = 1e-3
-    r_max: float = 1e3
-    n_radial: int = 61
-    n_angular: int = 41
-
-
-def vladimirov_norm(f: AnalyticFunction, grid: PolarGrid = PolarGrid()) -> float:
-    """Grid supremum of (Im z / (1 + |z|^2)) |f(z)| over the upper half plane."""
-    r = np.logspace(math.log10(grid.r_min), math.log10(grid.r_max), grid.n_radial)
-    th = np.linspace(0.0, math.pi, grid.n_angular)[1:-1]
+def vladimirov_norm(f: AnalyticFunction) -> float:
+    """Supremum of (Im z / (1 + |z|^2)) |f(z)| over a polar grid of the upper
+    half plane: 61 radii log-spaced over [1e-3, 1e3], 39 interior angles."""
+    r = np.logspace(-3.0, 3.0, 61)
+    th = np.linspace(0.0, math.pi, 41)[1:-1]
     z = r[:, None] * np.exp(1j * th)[None, :]
     q = z.imag / (1.0 + np.abs(z) ** 2) * np.abs(f(z))
     return float(np.max(q))
@@ -189,16 +178,16 @@ def _scan_part(f: AnalyticFunction, lo: float, hi: float, ys, nx: int):
 _SCAN_FLOOR = 1e-5
 
 
-def simple_scan(f: AnalyticFunction, window, *, nx: int = 81,
-                ny: int = 33) -> SimpleScanReport:
+def simple_scan(f: AnalyticFunction, window) -> SimpleScanReport:
     """Diagnose simple behavior of f on a window of the extended real line.
 
-    The heights run down from 0.5 to 1e-5, the growth fit reading those up to
-    1e-4.  Windows reaching infinity are scanned in the inversion chart
-    u = -1/x near 0, where the scan quantity is exactly invariant.
+    33 heights run down from 0.5 to 1e-5 over rows of 81 abscissae, the
+    growth fit reading the 7 heights up to 1e-4.  Windows reaching infinity
+    are scanned in the inversion chart u = -1/x near 0, where the scan
+    quantity is exactly invariant.
     """
     lo, hi = window
-    ys = np.logspace(math.log10(0.5), math.log10(_SCAN_FLOOR), ny)
+    ys = np.logspace(math.log10(0.5), math.log10(_SCAN_FLOOR), 33)
     cut = 1e3
     parts = []
     flo = max(lo, -cut)
@@ -212,15 +201,13 @@ def simple_scan(f: AnalyticFunction, window, *, nx: int = 81,
         tilde = invert_variable(f)
         parts += [(plo, phi, tilde) for u, v in rays
                   for plo, phi in _image_pieces(_INVERSION.inverse(), u, v)]
-    sup_per_y = np.zeros(ny)
+    sup_per_y = np.zeros(ys.size)
     for plo, phi, fn in parts:
         if plo >= phi:
             continue
-        sup_per_y = np.maximum(sup_per_y, _scan_part(fn, plo, phi, ys, nx))
+        sup_per_y = np.maximum(sup_per_y, _scan_part(fn, plo, phi, ys, 81))
     sup = float(np.max(sup_per_y))
     low = ys <= 10.0 * _SCAN_FLOOR
-    if np.count_nonzero(low) < 3:
-        low = np.argsort(ys)[:max(3, ny // 4)]
     logs = np.log(np.maximum(sup_per_y[low], 1e-300))
     slope = np.polyfit(np.log(ys[low]), logs, 1)[0]
     alpha = float(-slope)

@@ -33,8 +33,8 @@ class LimitSchedule:
     order: int = 8
 
     def __post_init__(self):
-        if not (self.y0 > 0 and 0.0 < self.ratio < 1.0):
-            raise SpecError("require y0 > 0 and ratio in (0, 1)")
+        if not (0.0 < self.y0 < np.inf and 0.0 < self.ratio < 1.0):
+            raise SpecError("require finite y0 > 0 and ratio in (0, 1)")
         if self.steps < 3 or self.order < 1:
             raise SpecError("require steps >= 3 and order >= 1")
         if self.y0 * self.ratio ** self.steps <= 1e-13:

@@ -156,7 +156,7 @@ class BoundaryMeasure:
                     j -= 1
 
 
-def integrate(m: BoundaryMeasure, f: TestFunction, *, atol: float = 1e-10) -> complex:
+def integrate(m: BoundaryMeasure, f: TestFunction) -> complex:
     """Pair the measure with a test function: atoms plus one rows call over the densities."""
     total = 0j
     for a in m.atoms:
@@ -170,7 +170,7 @@ def integrate(m: BoundaryMeasure, f: TestFunction, *, atol: float = 1e-10) -> co
     # Rows where the supports miss each other are empty and add zero.
     lo, hi = np.clip(np.reshape([d.support for d in m.densities], (-1, 2)), *f.support).T
     vals, _ = _quad_rows(_by_row([lambda x, d=d: f(x) * d(x) for d in m.densities]), lo, hi,
-                         len(m.densities), atol=atol)
+                         len(m.densities))
     for val in vals.tolist():
         total += val
     return total
@@ -202,8 +202,7 @@ def _conj_wrap(fn):
     return lambda x: np.conj(np.asarray(fn(x), dtype=complex))
 
 
-def total_variation(m: BoundaryMeasure, *, atol: float = 1e-10,
-                    finite_part_only: bool = False) -> float:
+def total_variation(m: BoundaryMeasure, *, finite_part_only: bool = False) -> float:
     """Sum of |mass| over atoms plus integrals of |density|, one rows call.
 
     With finite_part_only=True the atom at infinity is excluded, matching the
@@ -215,7 +214,7 @@ def total_variation(m: BoundaryMeasure, *, atol: float = 1e-10,
             tv += abs(a.mass)
     vals, _ = _quad_rows(_by_row([lambda x, d=d: np.abs(d(x)) for d in m.densities]),
                          *np.reshape([d.support for d in m.densities], (-1, 2)).T,
-                         len(m.densities), atol=atol)
+                         len(m.densities))
     for val in vals.real.tolist():
         tv += val
     return tv

@@ -20,7 +20,8 @@ results do not depend on refinement history.  One walk, ``_walk``, cuts every
 line integral into pieces, direct pieces and tails alike the rows of one
 ``_refine`` call (the heights of a limit, the densities of a pairing or of the
 Cauchy evaluator, the points of a CLI check); ``adaptive_quad`` and
-``quad_real_line`` are one-row wrappers.
+``quad_real_line`` are one-row wrappers.  The library's integrals all refine
+to this module's ``_ATOL``, ``_RTOL`` and ``_MAX_PANELS``.
 """
 from __future__ import annotations
 
@@ -120,15 +121,16 @@ def _rank(rows: np.ndarray) -> np.ndarray:
     return np.arange(rows.size) - np.searchsorted(rows, rows)
 
 
-# The convergence threshold every refinement meets unless its caller sets
-# its own: a row is done once its error sum is at most max(atol, _RTOL * |row
-# total|), or it holds _MAX_PANELS panels.
+# The convergence threshold of every integral in the library: a row is done
+# once its error sum is at most max(_ATOL, _RTOL * |row total|), or it holds
+# _MAX_PANELS panels.  Only the CLI checks pass budgets of their own.
+_ATOL = 1e-10
 _RTOL = 1e-9
 _MAX_PANELS = 4000
 
 
-def _refine(f: Callable, edges: Sequence[np.ndarray], atol: float, rtol: float = _RTOL,
-            max_panels: int = _MAX_PANELS):
+def _refine(f: Callable, edges: Sequence[np.ndarray], atol: float = _ATOL,
+            rtol: float = _RTOL, max_panels: int = _MAX_PANELS):
     """Refine the panels between consecutive edges of each row of ``edges``,
     G 1-D edge arrays of any lengths (a (G, n+1) array is G rows) for G
     independent integrals with integrand f(x, g), g the row of each node,
@@ -222,7 +224,7 @@ def _one_row(val: np.ndarray, err: np.ndarray):
     return (complex(value) if np.ndim(value) == 0 else value), float(err[0])
 
 
-def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = 1e-10,
+def adaptive_quad(f: Callable, a: float, b: float, *, atol: float = _ATOL,
                   rtol: float = _RTOL, max_panels: int = _MAX_PANELS):
     """Integrate a vectorized complex integrand over the finite interval [a, b].
 
@@ -292,8 +294,8 @@ def _by_row(fns) -> Callable:
     return f
 
 
-def _walk(f: Callable, lo: np.ndarray, hi: np.ndarray, atol: float, rtol: float = _RTOL,
-          max_panels: int = _MAX_PANELS):
+def _walk(f: Callable, lo: np.ndarray, hi: np.ndarray, atol: float = _ATOL,
+          rtol: float = _RTOL, max_panels: int = _MAX_PANELS):
     """The panels of f(x, g) on (lo[g], hi[g]), lo <= hi, not all empty: each
     row's ``_line_pieces`` to atol / (its pieces), every piece a row of one
     ``_refine`` call, a direct piece from its two ends and a tail from two
@@ -310,7 +312,7 @@ def _walk(f: Callable, lo: np.ndarray, hi: np.ndarray, atol: float, rtol: float 
     return (row, piece, A[piece], *panels)
 
 
-def _quad_rows(f: Callable, lo, hi, n_rows: int, *, atol: float = 1e-10,
+def _quad_rows(f: Callable, lo, hi, n_rows: int, *, atol: float = _ATOL,
                rtol: float = _RTOL, max_panels: int = _MAX_PANELS):
     """``quad_real_line`` of the rows integrand f(x, g) on (lo[g], hi[g]) for
     the ``n_rows`` rows g, lo and hi scalars or (n_rows,) arrays: the values
@@ -327,7 +329,7 @@ def _quad_rows(f: Callable, lo, hi, n_rows: int, *, atol: float = 1e-10,
 
 
 def quad_real_line(f: Callable, lo: float = -math.inf, hi: float = math.inf, *,
-                   atol: float = 1e-10, rtol: float = _RTOL,
+                   atol: float = _ATOL, rtol: float = _RTOL,
                    max_panels: int = _MAX_PANELS):
     """Integrate f over an interval of the extended real line.
 
@@ -341,7 +343,7 @@ def quad_real_line(f: Callable, lo: float = -math.inf, hi: float = math.inf, *,
 
 
 def _power_weighted_zero(g: Callable, delta: float, m: int, n_rows: int, *,
-                         atol: float, rtol: float = _RTOL):
+                         atol: float = _ATOL, rtol: float = _RTOL):
     """Improper integrals of y^m g(y, r) over (0, delta] for the ``n_rows``
     rows r, g bounded near 0, each row refined to its own tolerance: the
     values (n_rows, ...) and errors (n_rows,) of the rows.

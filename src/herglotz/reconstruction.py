@@ -219,15 +219,14 @@ def reconstruct(f: AnalyticFunction, spec: ReconstructionSpec) -> Reconstruction
 
 
 def resynthesis_residual(f: AnalyticFunction, result: ReconstructionResult,
-                         probes: Sequence[complex], *,
-                         atol: float = 1e-11) -> float:
+                         probes: Sequence[complex]) -> float:
     """Max over probes of |f(z) - resynthesized Cauchy transform at z|."""
     zs = np.asarray(probes, dtype=complex).ravel()
     if np.any(zs.imag == 0.0):
         raise SpecError("probes must lie off the real line")
     if not zs.size:
         return 0.0
-    synth = cauchy_eval(result.measure, result.constant, zs, atol=atol)
+    synth = cauchy_eval(result.measure, result.constant, zs)
     return float(np.max(np.abs(f(zs) - synth)))
 
 

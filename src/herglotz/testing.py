@@ -9,7 +9,7 @@ from .measures import TestFunction
 __all__ = ["smooth_bump", "constant_one"]
 
 
-def smooth_bump(lo: float, hi: float, amplitude: complex = 1.0) -> TestFunction:
+def smooth_bump(lo: float, hi: float) -> TestFunction:
     """C-infinity bump exp(1 - 1/(1-u^2)) on (lo, hi), u the affine chart to (-1, 1).
 
     Supplies first and second derivatives analytically; all higher derivatives
@@ -33,7 +33,7 @@ def smooth_bump(lo: float, hi: float, amplitude: complex = 1.0) -> TestFunction:
     def fn(x):
         u = _u(x)
         g, _ = _core(u)
-        return amplitude * g.astype(complex)
+        return g.astype(complex)
 
     def d1(x):
         u = _u(x)
@@ -42,7 +42,7 @@ def smooth_bump(lo: float, hi: float, amplitude: complex = 1.0) -> TestFunction:
         ui = u[inside]
         w = 1.0 - ui * ui
         out[inside] = g[inside] * (-2.0 * ui / w ** 2)
-        return amplitude * c * out
+        return c * out
 
     def d2(x):
         u = _u(x)
@@ -52,7 +52,7 @@ def smooth_bump(lo: float, hi: float, amplitude: complex = 1.0) -> TestFunction:
         w = 1.0 - ui * ui
         out[inside] = g[inside] * (4.0 * ui * ui / w ** 4
                                    - 2.0 / w ** 2 - 8.0 * ui * ui / w ** 3)
-        return amplitude * c * c * out
+        return c * c * out
 
     return TestFunction(fn, (lo, hi), (d1, d2))
 

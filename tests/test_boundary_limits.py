@@ -94,10 +94,11 @@ def test_boundary_functional_rejects_wild_growth():
         boundary_functional(f, h, 0.3)
 
 
-def _corners_per_point(f, xs, delta, m, sgn, atol):
+def _corners_per_point(f, xs, delta, m, sgn):
     """The loop that _corners replaced: one one-row refinement per point."""
     return np.array([_power_weighted_zero(lambda y, r: f(x + sgn * 1j * y), delta, m, 1,
-                                          atol=atol, rtol=1e-9)[0][0] for x in xs.tolist()])
+                                          atol=quadrature._ATOL, rtol=1e-9)[0][0]
+                     for x in xs.tolist()])
 
 
 @pytest.mark.parametrize("sgn", [1.0, -1.0])
@@ -108,8 +109,8 @@ def test_corners_equal_the_per_point_loop(request, fixture, m, sgn):
     rng = np.random.default_rng(3 * m + (sgn > 0))
     for n in (1, 2, 17, 130):
         xs = rng.uniform(-1.5, 1.5, n)
-        got = _corners(f, xs, 0.5, m, sgn, 1e-11)
-        want = _corners_per_point(f, xs, 0.5, m, sgn, 1e-11)
+        got = _corners(f, xs, 0.5, m, sgn)
+        want = _corners_per_point(f, xs, 0.5, m, sgn)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
 
 
@@ -203,7 +204,7 @@ def test_inverted_tan_profile_over_its_accumulation_point(tan_fn):
         phi_profile(invert_variable(tan_fn), -0.5, 0.5, 0.1)
 
 
-def _phi_per_node(f, a, b, delta, side, nodes=129, atol=1e-11):
+def _phi_per_node(f, a, b, delta, side, nodes=129):
     """Phi at each profile node from its own quadrature over [t, b] (the
     formula of the phi_profile docstring, one node at a time)."""
     sgn = 1.0 if side == "upper" else -1.0
@@ -216,11 +217,12 @@ def _phi_per_node(f, a, b, delta, side, nodes=129, atol=1e-11):
     def p(t):
         if t == b:
             return 0j
-        return adaptive_quad(lambda x: (x + iy - t) * f(x + iy), t, b, atol=atol)[0]
+        return adaptive_quad(lambda x: (x + iy - t) * f(x + iy), t, b,
+                             atol=quadrature._ATOL)[0]
 
     def e(t):
         return _power_weighted_zero(lambda y, r: f(t + sgn * 1j * y), delta, 1, 1,
-                                    atol=atol, rtol=1e-9)[0][0]
+                                    atol=quadrature._ATOL, rtol=1e-9)[0][0]
 
     s1, e_a, e_b = p(a), e(a), e(b)
     vals = [p(t) - (b - t) / (b - a) * s1 + (t - a) / (b - a) * e_b

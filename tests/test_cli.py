@@ -155,6 +155,12 @@ def test_unread_flag_exits_1(tmp_path, capsys, argv, unread):
     ["check", "inversion-duality", "--window=1,4", "--tol=-1"],
     ["extract", "--window=-1,inf"],
     ["circle-line", "--window=-3,inf"],
+    ["extract", "--window=-1,1", "--y0=inf"],
+    ["check", "inversion-duality", "--window=1,4", "--y0=inf"],
+    ["reconstruct", "--window=-1,1", "--probes=1,2j"],
+    ["phi-profile", "--window=-1,1", "--delta=-1"],
+    ["phi-profile", "--window=-1,1", "--delta=inf"],
+    ["phi-profile", "--window=-1,1", "--nodes", "4"],
 ])
 def test_bad_number_flag_exits_1(tmp_path, capsys, power_half_spec, argv):
     measure = tmp_path / "m.json"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +11,9 @@ from herglotz.extrapolation import (_AITKEN_PASSES, _limit_rows, aitken_limit, b
 
 
 def test_schedule_validation():
-    with pytest.raises(SpecError):
-        LimitSchedule(y0=-1.0)
+    for y0 in (-1.0, math.inf, math.nan):
+        with pytest.raises(SpecError):
+            LimitSchedule(y0=y0)
     with pytest.raises(SpecError):
         LimitSchedule(ratio=1.5)
     with pytest.raises(SpecError):

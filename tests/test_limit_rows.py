@@ -21,7 +21,7 @@ from herglotz.cli import _load_spec, main
 from herglotz.errors import NonConvergentLimitError
 from herglotz.extrapolation import limit_from_samples
 from herglotz.measures import DensityPart
-from herglotz.quadrature import adaptive_quad, quad_real_line
+from herglotz.quadrature import _ATOL, adaptive_quad, quad_real_line
 from herglotz.testing import constant_one, smooth_bump
 
 
@@ -39,28 +39,27 @@ def _per_height(sched, sample):
     return limit_from_samples(ys, [sample(y) for y in ys], order=sched.order)
 
 
-def _extract_loop(f, test, sched=LimitSchedule(), atol=1e-10):
+def _extract_loop(f, test, sched=LimitSchedule()):
     def sample(y):
         def integrand(x):
             upper, lower = _with_reflection(f, x + 1j * y)
             return test(x) * (upper - lower) / (2j * np.pi * (1.0 + x * x))
-        return quad_real_line(integrand, *test.support, atol=atol)[0]
+        return quad_real_line(integrand, *test.support, atol=_ATOL)[0]
     return _per_height(sched, sample)
 
 
-def _circle_loop(phi, test, rsched=RadiusSchedule(), atol=1e-11):
-    return _per_height(rsched, lambda gap: circle_measure_functional(phi, 1.0 - gap, test,
-                                                                     atol=atol))
+def _circle_loop(phi, test, rsched=RadiusSchedule()):
+    return _per_height(rsched, lambda gap: circle_measure_functional(phi, 1.0 - gap, test))
 
 
-def _inner_circle_loop(f, test, rsched, atol):
+def _inner_circle_loop(f, test, rsched):
     disc = to_disc(f)
     lo, hi = test.support
     ta, tb = 2.0 * np.arctan(lo), 2.0 * np.arctan(hi)
 
     def sample(gap):
         return adaptive_quad(lambda t: test(np.tan(0.5 * t)) * disc((1.0 - gap) * np.exp(1j * t)),
-                             ta, tb, atol=atol)[0]
+                             ta, tb, atol=_ATOL)[0]
     return _per_height(rsched, sample)
 
 
@@ -68,27 +67,27 @@ def _line_integrand(f, test, y):
     return lambda s: test(s) * f(s + 1j * y) * 2.0 / (1.0 + s * s)
 
 
-def _gap_loop(f, test, sched=LimitSchedule(), rsched=RadiusSchedule(), atol=1e-11):
-    circle = _inner_circle_loop(f, test, rsched, atol)
+def _gap_loop(f, test, sched=LimitSchedule(), rsched=RadiusSchedule()):
+    circle = _inner_circle_loop(f, test, rsched)
     line = _per_height(sched, lambda y: -1j * quad_real_line(
-        _line_integrand(f, test, y), *test.support, atol=atol)[0])
+        _line_integrand(f, test, y), *test.support, atol=_ATOL)[0])
     return circle, line
 
 
-def _duality_loop(f, test, sched=LimitSchedule(), atol=1e-11):
+def _duality_loop(f, test, sched=LimitSchedule()):
     def side(fn, tst):
         return _per_height(sched, lambda y: quad_real_line(
-            lambda x: tst(x) * fn(x + 1j * y) / (1.0 + x * x), *tst.support, atol=atol)[0])
+            lambda x: tst(x) * fn(x + 1j * y) / (1.0 + x * x), *tst.support, atol=_ATOL)[0])
     return side(f, test), side(invert_variable(f), _transport_inversion(test))
 
 
-def _joined_loop(f, test, sched=LimitSchedule(), rsched=JOINED_R_SCHEDULE, atol=1e-11):
-    circle = _inner_circle_loop(f, test, rsched, atol)
+def _joined_loop(f, test, sched=LimitSchedule(), rsched=JOINED_R_SCHEDULE):
+    circle = _inner_circle_loop(f, test, rsched)
     tilde_f, tilde_test = invert_variable(f), _transport_inversion(test)
 
     def line_sample(y):
-        v1, _ = adaptive_quad(_line_integrand(f, test, y), -1.0, 1.0, atol=atol)
-        v2, _ = adaptive_quad(_line_integrand(tilde_f, tilde_test, y), -1.0, 1.0, atol=atol)
+        v1, _ = adaptive_quad(_line_integrand(f, test, y), -1.0, 1.0, atol=_ATOL)
+        v2, _ = adaptive_quad(_line_integrand(tilde_f, tilde_test, y), -1.0, 1.0, atol=_ATOL)
         return -1j * (v1 + v2)
     return circle, _per_height(sched, line_sample)
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -147,13 +148,54 @@ def test_only_quadrature_sets_the_threshold():
                     for c in ast.walk(kw.value)), where
 
 
+def test_only_quadrature_sets_the_absolute_tolerance():
+    # The absolute tolerance of every integral is quadrature._ATOL: no public
+    # function or dataclass outside quadrature.py takes an atol, and outside
+    # quadrature.py only the CLI checks' two budgets pass a number for one.
+    modules = [importlib.import_module(f"herglotz.{m.name}")
+               for m in pkgutil.iter_modules(herglotz.__path__)]
+    for mod in modules:
+        if mod is quadrature:
+            continue
+        for name in getattr(mod, "__all__", ()):
+            obj = getattr(mod, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj) and dataclasses.is_dataclass(obj):
+                assert "atol" not in inspect.signature(obj).parameters, f"{mod.__name__}.{name}"
+    takes_atol = {}
+    for mod in modules:
+        for name, fn in inspect.getmembers(mod, inspect.isfunction):
+            params = list(inspect.signature(fn).parameters)
+            if "atol" in params:
+                takes_atol[name] = params.index("atol")
+    src = Path(herglotz.__file__).resolve().parent
+    numbers = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            given = []
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args.args + node.args.kwonlyargs
+                defaults = [None] * (len(node.args.args) - len(node.args.defaults)) \
+                    + node.args.defaults + node.args.kw_defaults
+                given = [d for a, d in zip(args, defaults) if a.arg == "atol" and d is not None]
+            elif isinstance(node, ast.Call):
+                fn = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if fn in takes_atol:
+                    given = [kw.value for kw in node.keywords if kw.arg == "atol"]
+                    given += node.args[takes_atol[fn]:takes_atol[fn] + 1]
+            numbers += [(path.name, c.value) for v in given for c in ast.walk(v)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, (int, float))]
+    assert sorted(numbers) == [("cli.py", 1e-12), ("cli.py", 1e-08)], numbers
+
+
 def test_line_panel_tails_are_the_tail_map():
     # The cauchy evaluator samples a fitted density on its tail panels exactly
     # as quadrature's tail map samples it at the same nodes (8 of these 60
     # samples differed by one ulp while catalog wrote the map again).
     lorentz = lambda s: (1.0 / (np.pi * (1.0 + s * s))).astype(complex)
     d = DensityPart((-np.inf, np.inf), lorentz)
-    _, P = catalog._line_panels(BoundaryMeasure((), (d,)), 1e-10)
+    _, P = catalog._line_panels(BoundaryMeasure((), (d,)))
     rows = np.repeat(np.arange(P["A"].size), quadrature._XK.size)
     mapped = quadrature._tail_map(lambda s, g: d(s), P["A"])(P["u"].ravel(), rows)
     assert np.array_equal(P["q"].ravel(), mapped)

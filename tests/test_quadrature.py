@@ -548,16 +548,15 @@ _CLOSURES = [pushforward_mobius(_closure_measure(), MobiusMatrix(0.0, -1.0, 1.0,
 
 @pytest.mark.parametrize("m", _CLOSURES, ids=["inverse", "shear", "conjugate"])
 def test_line_panels_equal_the_per_piece_walk(m):
-    atol = 1e-10
     parts = []
     for d in m.densities:
-        pieces = _piece_walk(d, *d.support, atol)
+        pieces = _piece_walk(d, *d.support, quadrature._ATOL)
         parts.append((d,) + tuple(np.concatenate(c) for c in zip(*[
             (lo, hi, np.full(lo.size, A)) for A, lo, hi, _, _ in pieces])))
     P = catalog._density_panels(parts)
     tail = P["A"] != 0.0
     assert tail.any() and not tail.all()
-    got = catalog._line_panels(m, atol)
+    got = catalog._line_panels(m)
     for panels, keep in zip(got, (~tail, tail)):
         assert panels.keys() == P.keys()
         for key, want in P.items():

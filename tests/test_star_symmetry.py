@@ -216,9 +216,9 @@ def test_density_readers_match_the_two_sided_path(two_sided, sqrt_fn, tan_fn, re
 def test_scans_and_functionals_match_the_two_sided_path(two_sided, sqrt_fn, tan_fn,
                                                         real_cauchy):
     bump = smooth_bump(-2.0, -1.0)
-    for f, n in ((sqrt_fn, 81), (tan_fn, 81), (real_cauchy, 9)):
+    for f in (sqrt_fn, tan_fn, real_cauchy):
         for window in ((-2.0, 1.0), (-math.inf, 0.5), (0.2, math.inf)):
-            got, want = two_sided(lambda: simple_scan(f, window, nx=n, ny=n))
+            got, want = two_sided(lambda: simple_scan(f, window))
             assert _same(_leaves(dataclasses.astuple(got)),
                          _leaves(dataclasses.astuple(want))), f.descriptor["kind"]
         sched = LimitSchedule(steps=6, order=4)
