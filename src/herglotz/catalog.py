@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -161,11 +161,11 @@ _TRIG = {
 # Catalog specs
 
 
-_KNOWN_KINDS = (
-    "tan", "cot", "csc2", "power", "power_log", "power_over_log",
-    "tan_sigma_log", "cot_sigma_log", "csc2_sigma_log", "rational",
-    "cauchy", "disc_herglotz",
-)
+# The catalog kinds and the parameters each requires.
+_KINDS = {"tan": (), "cot": (), "csc2": (), "rational": ("a", "b", "poles", "coeffs"),
+          "cauchy": ("measure",), "disc_herglotz": ("measure",),
+          **dict.fromkeys(("power", "power_log", "power_over_log"), ("p",)),
+          **dict.fromkeys(("tan_sigma_log", "cot_sigma_log", "csc2_sigma_log"), ("sigma",))}
 
 
 @dataclass(frozen=True)
@@ -176,27 +176,31 @@ class CatalogSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KNOWN_KINDS:
+        if self.kind not in _KINDS:
             raise SpecError(f"unknown catalog kind {self.kind!r}")
+        if missing := [k for k in _KINDS[self.kind] if k not in self.params]:
+            raise SpecError(f"a {self.kind} spec requires {', '.join(missing)}")
 
     @staticmethod
     def from_json(data: dict) -> "CatalogSpec":
-        kind = data.get("kind")
-        params = {}
-        if "p" in data:
-            params["p"] = complex(data["p"][0], data["p"][1])
-        if "sigma" in data:
-            params["sigma"] = float(data["sigma"])
-        if kind == "rational":
-            params["a"] = complex(data["a"][0], data["a"][1])
-            params["b"] = complex(data["b"][0], data["b"][1])
-            params["poles"] = [float(s) for s in data["poles"]]
-            params["coeffs"] = [complex(c[0], c[1]) for c in data["coeffs"]]
-        if kind in ("cauchy", "disc_herglotz"):
-            m = data["measure"]
-            params["measure"] = measure_from_json(m) if isinstance(m, dict) else m
-            c = data.get("constant", [0.0, 0.0])
-            params["constant"] = complex(c[0], c[1])
+        try:
+            kind, params = data.get("kind"), {}
+            if "p" in data:
+                params["p"] = complex(data["p"][0], data["p"][1])
+            if "sigma" in data:
+                params["sigma"] = float(data["sigma"])
+            if kind == "rational":
+                params["a"] = complex(data["a"][0], data["a"][1])
+                params["b"] = complex(data["b"][0], data["b"][1])
+                params["poles"] = [float(s) for s in data["poles"]]
+                params["coeffs"] = [complex(c[0], c[1]) for c in data["coeffs"]]
+            if kind in ("cauchy", "disc_herglotz"):
+                m = data["measure"]
+                params["measure"] = measure_from_json(m) if isinstance(m, dict) else m
+                c = data.get("constant", [0.0, 0.0])
+                params["constant"] = complex(c[0], c[1])
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+            raise SpecError(f"malformed function spec: {type(exc).__name__} {exc}") from exc
         return CatalogSpec(kind, params)
 
 
@@ -229,13 +233,23 @@ def cauchy_kernel(s, z):
 # for g(u)/(u - u0), g of degree 14 (Helsing & Ojala, J. Comput. Phys. 227,
 # 2008), on the smooth g = (u - u0) K rho; on the circle u0 = -i log w (the
 # singularity swap of af Klinteberg & Barnett, BIT 61, 2021).  Farther out the
-# plain rule meets 1e-14.  A value costs panels x points at any distance from
-# the boundary, and each point sums its own terms in panel order, so it is
-# bit-equal in any batch.
+# plain rule meets 1e-14.
+#
+# Line panels in s also have a far field (Greengard & Rokhlin, J. Comput. Phys.
+# 73, 1987; Dutt, Gu & Rokhlin, SIAM J. Numer. Anal. 33, 1996): a binary tree
+# over leaves of _LEAF consecutive panels, each cluster spanning its panels'
+# lowest lo to highest hi.  A point takes a cluster whole when it is _FAR
+# half-widths from its centre and its parent is not, by _TERMS = 30 terms of a
+# series whose moments come from the cluster's own nodes when first needed.
+# Tail and circle panels have no far field: a value costs panels x points at
+# any distance.  A point adds its far clusters in cluster order, then its
+# other panels in panel order, so a value is bit-equal in any batch.
 _NEAR = 2.0
+_LEAF, _FAR, _TERMS = 8, 3.0, 30
 
-# Node x point entries of each temporary in the panel sums.
-_BLOCK = 1 << 13
+# Node x point entries of each temporary in the panel sums, and panels in each
+# batch of clusters whose moments are summed together.
+_BLOCK, _BATCH = 1 << 13, 1 << 9
 
 
 def _cauchy_weights(w, p0):
@@ -258,32 +272,106 @@ def _cauchy_weights(w, p0):
     return lam
 
 
-def _panel_sum(z, P, kernel, poles, near_terms):
-    """Sum over the panels P of q times kernel(s, z) at each point of z.
+def _tree(P):
+    """Clusters of line panels in s, root first, kept in P: first and end panel,
+    centre, half-width, parent (the root's: a cluster never far), each panel's
+    leaf and the moments by row.  None for tail and circle panels."""
+    if "tree" not in P:
+        P["tree"], n = None, P["lo"].size
+        if not P["A"].any() and np.isrealobj(P["s"]):
+            levels = [np.arange(0, n, _LEAF)]
+            while levels[-1].size > 1:
+                levels.append(levels[-1][::2])
+            levels, off = levels[::-1], np.cumsum([0] + [f.size for f in levels[::-1]])
+            lo, hi = (np.concatenate([r.reduceat(P[k], f) for f in levels])
+                      for r, k in ((np.minimum, "lo"), (np.maximum, "hi")))
+            parent = [a + np.arange(f.size) // 2 for a, f in zip(off, levels[1:])]
+            P["tree"] = {"first": np.concatenate(levels), "c": np.append(0.5 * (lo + hi), 0.0),
+                         "end": np.concatenate([np.append(f[1:], n) for f in levels]),
+                         "rho": np.append(0.5 * (hi - lo), np.nan),
+                         "leaf": off[-2] + np.arange(n) // _LEAF,
+                         "parent": np.concatenate([[off[-1]], *parent, [off[-1]]]),
+                         "row": np.full(off[-1], -1), "M": np.empty((0, 2, _TERMS), dtype=complex)}
+    return P["tree"]
 
-    ``poles(z, ib)`` gives the local coordinates of the kernel's poles for
-    points z and panels ib broadcast together; a pair with one within _NEAR
-    takes the 15 terms ``near_terms(z[i], ib[i])``, every other pair the plain
-    rule.  Blocks of panels hold about ``_BLOCK`` terms, and each point adds
-    its panel sums one by one in panel order."""
-    n = P["mid"].size
-    step = max(8, _BLOCK // (_XK.size * max(z.size, 1)))
-    starts = range(0, n, step)
-    pairs = [np.nonzero(np.any([np.abs(w) < _NEAR
-                                for w in poles(z[:, None], np.arange(b, min(b + step, n)))],
-                               axis=0)) for b in starts]
-    iz = np.concatenate([p[0] for p in pairs]).astype(int)
-    ib = np.concatenate([p[1] + b for p, b in zip(pairs, starts)]).astype(int)
-    near = near_terms(z[iz], ib)
-    bounds = np.cumsum([0] + [p[0].size for p in pairs])
-    out = np.zeros(z.shape, dtype=complex)
-    for k, b in enumerate(starts):
-        sl, r = slice(b, b + step), slice(bounds[k], bounds[k + 1])
-        terms = kernel(P["s"][sl], z[:, None, None]) * (P["q"][sl] * (P["half"][sl, None] * _WK))
-        terms[iz[r], ib[r] - b] = near[r]
-        sums = terms.sum(axis=2)
-        sums[:, 0] += out
-        out = np.cumsum(sums, axis=1)[:, -1]
+
+def _plan(z, P):
+    """The far pairs (points, clusters) and direct pairs (points, panels) of
+    the points z, each point's in cluster and in panel order.  Without a tree,
+    a column of points meets a row of every panel."""
+    T = _tree(P)
+    if T is None:
+        ip = np.arange(z.size)
+        return (ip[:0], ip[:0]), (ip[:, None], np.arange(P["lo"].size))
+    far = np.abs(z[:, None] - T["c"]) >= _FAR * T["rho"]
+    return np.nonzero(far > far[:, T["parent"]]), np.nonzero(~far[:, T["leaf"]])
+
+
+def _moments(P, ic):
+    """Sum and keep the moments of the clusters ic, about _BATCH panels at a
+    time: M_k = sum w d^k and N_k = sum w s d^k over the cluster's nodes, k <
+    _TERMS, with w = P["w"] and d = (s - c)/rho."""
+    T, new = P["tree"], np.zeros(P["tree"]["row"].size, dtype=bool)
+    new[ic] = True
+    new = np.flatnonzero(new)
+    size, M = T["end"][new] - T["first"][new], np.empty((new.size, 2, _TERMS), dtype=complex)
+    for i in np.split(np.arange(new.size), np.flatnonzero(np.diff(np.cumsum(size) // _BATCH)) + 1):
+        cl, start = new[i], np.cumsum(size[i]) - size[i]
+        panels = np.arange(size[i].sum()) + np.repeat(T["first"][cl] - start, size[i])
+        w, s = P["w"][panels].ravel(), P["s"][panels].ravel()
+        terms = np.array([w.real, w.imag, w.real * s, w.imag * s])
+        s -= np.repeat(T["c"][cl], _XK.size * size[i])
+        s /= np.repeat(T["rho"][cl], _XK.size * size[i])
+        m = np.empty((_TERMS, 4, cl.size))
+        for k in range(_TERMS):
+            np.add.reduceat(terms, _XK.size * start, axis=1, out=m[k])
+            terms *= s
+        M.real[i], M.imag[i] = m[:, 0::2].T, m[:, 1::2].T
+    T["row"][new], T["M"] = len(T["M"]) + np.arange(new.size), np.concatenate([T["M"], M])
+
+
+def _far_values(z, P, ip, ic):
+    """The sums over the clusters ic at the points z[ip]: with t = rho/(z - c),
+    1/(s - z) = -sum (d t)^k t/rho, so a sum is -sum (M_k + z N_k) t^(k+1)/rho
+    (``_moments``).  N_k summed from w s, not as c M_k + rho M_(k+1), does not
+    cancel where the mass sits near s = 0, nor does it as z + (1 + z^2)/(s - z)
+    would at large |z|."""
+    T = P["tree"]
+    if T["row"][ic].min() < 0:
+        _moments(P, ic[T["row"][ic] < 0])
+    z, rho, row = z[ip], T["rho"][ic], T["row"][ic]
+    t = np.cumprod(np.repeat((rho / (z - T["c"][ic]))[:, None], _TERMS, axis=1), axis=1)
+    return -((T["M"][row, 0] * t).sum(axis=1) + z * (T["M"][row, 1] * t).sum(axis=1)) / rho
+
+
+def _panel_sum(z, P, kernel, poles, near_terms):
+    """Sum over the panels P of q times kernel(s, z) at each point of z.  The
+    far pairs of ``_plan`` take ``_far_values``; a direct pair with a pole
+    ``poles(z, ib)`` within _NEAR takes the 15 terms ``near_terms(z, ib)``,
+    every other the plain rule, in blocks of pairs, or of at least 8 panels
+    for a column of points, whose terms fill about _BLOCK entries."""
+    out = np.empty(z.shape, dtype=complex)
+    step = max(1, _BLOCK * _XK.size // P["lo"].size)
+    for a in range(0, z.size, step):
+        zc = z[a:a + step]
+        (fp, fc), (ip, ib) = _plan(zc, P)
+        width = max(8, _BLOCK // (_XK.size * (ip.shape[0] if ip.ndim > 1 else 1)))
+        pts, near = [fp], [(fp[:0],) * 3]
+        vals = [_far_values(zc, P, fp[b:b + _BLOCK // _TERMS], fc[b:b + _BLOCK // _TERMS])
+                for b in range(0, fp.size, _BLOCK // _TERMS)]
+        for b in range(0, ib.size, width):
+            jp, jb = ip if ip.ndim > 1 else ip[b:b + width], ib[b:b + width]
+            i = np.flatnonzero(reduce(np.logical_or, (np.abs(w) < _NEAR for w in poles(zc[jp], jb))))
+            vals.append((kernel(P["s"][jb], zc[jp, None]) * P["w"][jb]).sum(axis=-1).ravel())
+            jp, jb = (x.ravel() for x in np.broadcast_arrays(jp, jb))
+            near.append((jp[i], jb[i], i + sum(v.size for v in vals[:-1])))
+            pts.append(jp)
+        pts, vals = np.concatenate(pts), np.concatenate(vals)
+        iz, ib, at = (np.concatenate(x) for x in zip(*near))
+        if at.size:
+            vals[at] = near_terms(zc[iz], ib).sum(axis=-1)
+        out[a:a + step].real = np.bincount(pts, vals.real, zc.size)
+        out[a:a + step].imag = np.bincount(pts, vals.imag, zc.size)
     return out
 
 
@@ -309,8 +397,8 @@ def _density_panels(parts):
     """The panels of densities (d, lo, hi, A), A per panel that of its line
     tail or 0, stacked in a dict of per-panel arrays: edges, midpoints,
     half-widths, A, Kronrod nodes u in the panel variable, boundary points s
-    (u, or A/u^2 on a tail) and samples q of d times ds/du there.  Each
-    density is called once, on all its nodes."""
+    (u, or A/u^2 on a tail), samples q of d times ds/du there and w, q times
+    the node weights.  Each density is called once, on all its nodes."""
     P = {"lo": np.concatenate([p[1] for p in parts]),
          "hi": np.concatenate([p[2] for p in parts]),
          "A": np.concatenate([p[3] for p in parts])}
@@ -323,6 +411,7 @@ def _density_panels(parts):
     for (d, lo, _, _), end in zip(parts, np.cumsum([p[1].size for p in parts])):
         q[end - lo.size:end] = d(s[end - lo.size:end].ravel()).reshape(-1, _XK.size)
     q[tail] *= w
+    P["w"] = q * (P["half"][:, None] * _WK)
     return P
 
 

@@ -183,6 +183,8 @@ def cmd_reconstruct(args) -> int:
     f = _load_spec(args.spec)
     lo, hi = _parse_window(args.window)
     probes = _parse_numbers(args.probes.replace(" ", ""), complex)
+    if any(z.imag == 0 for z in probes):
+        raise SpecError("probes must lie off the real line")
     spec = ReconstructionSpec(
         window=(lo, hi),
         sigma_points=tuple(_parse_numbers(args.sigma_points)),

@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 
 import numpy as np
@@ -672,6 +673,156 @@ def test_point_cost_does_not_depend_on_the_distance(evaluated, density_points):
         assert counts[0] == counts[1] and counts[0][1] > 0
 
 
+# The far field of line panels, against the dense sum that it replaces
+
+
+def _dense_panel_sum(z, P, kernel, poles, near_terms, block=1 << 13):
+    """The panel sum without a far field: every point meets every panel, in
+    blocks of panels, and adds its panel sums one by one in panel order."""
+    n, nodes = P["mid"].size, quadrature._XK.size
+    step = max(8, block // (nodes * max(z.size, 1)))
+    starts = range(0, n, step)
+    pairs = [np.nonzero(np.any([np.abs(w) < catalog._NEAR
+                                for w in poles(z[:, None], np.arange(b, min(b + step, n)))],
+                               axis=0)) for b in starts]
+    iz = np.concatenate([p[0] for p in pairs]).astype(int)
+    ib = np.concatenate([p[1] + b for p, b in zip(pairs, starts)]).astype(int)
+    near = near_terms(z[iz], ib)
+    bounds = np.cumsum([0] + [p[0].size for p in pairs])
+    out = np.zeros(z.shape, dtype=complex)
+    for k, b in enumerate(starts):
+        sl, r = slice(b, b + step), slice(bounds[k], bounds[k + 1])
+        terms = kernel(P["s"][sl], z[:, None, None]) * (P["q"][sl] * (P["half"][sl, None]
+                                                                       * quadrature._WK))
+        terms[iz[r], ib[r] - b] = near[r]
+        sums = terms.sum(axis=2)
+        sums[:, 0] += out
+        out = np.cumsum(sums, axis=1)[:, -1]
+    return out
+
+
+def _line_kernel(s, z):
+    return (1.0 + s * z) / (s - z)
+
+
+def _variation_table():
+    """The 257-node table of the variation-bound benchmark, with its atom at 0."""
+    xs = np.linspace(-3.0, -0.5, 257)
+    return BoundaryMeasure((Atom(0.0, 0.5),), (table_density(
+        xs, np.sqrt(-xs) / (np.pi * (1.0 + xs * xs)) + 0j),))
+
+
+def _far_against_dense(m, zs):
+    """The worst |v - ref|/(1 + |ref|) of the line panel sum against the dense
+    sum, and the number of far pairs that the points took."""
+    P = catalog._line_panels(m)[0]
+    got = catalog._panel_sum(zs, P, _line_kernel, *catalog._line_near(P))
+    ref = _dense_panel_sum(zs, P, _line_kernel, *catalog._line_near(P))
+    return np.max(np.abs(got - ref) / (1.0 + np.abs(ref))), catalog._plan(zs, P)[0][0].size
+
+
+def _grid(xs, ys):
+    return np.array([x + 1j * y for y in ys for x in xs])
+
+
+def test_far_field_matches_the_dense_sum_on_the_variation_table():
+    # x inside the support, beside it and far from it, from Im z = 1 down to
+    # 1e-12 on both sides.
+    xs = np.concatenate([np.linspace(-3.2, -0.3, 30), [-7.0, 0.0, 1.5, -40.0, 300.0, -1e6]])
+    ys = [1.0, 0.1, 1e-2, 1e-4, 1e-8, 1e-12, -1e-12, -1e-3]
+    err, far = _far_against_dense(_variation_table(), _grid(xs, ys))
+    assert err <= 1e-14 and far > 0
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3 + 0.2j, -0.4])
+def test_far_field_matches_the_dense_sum_on_power_densities(p):
+    xs = -np.geomspace(1e-8, 1e6, 29)
+    zs = _grid(np.concatenate([xs, -xs[::4]]), [1.0, 1e-3, 1e-9, -1e-12])
+    err, far = _far_against_dense(_power_measure(p)[0], zs)
+    assert err <= 1e-14 and far > 0
+
+
+def test_far_field_matches_the_dense_sum_where_densities_overlap_or_leave_gaps():
+    # Two tables that overlap on [0, 1], and two far apart, so that clusters
+    # span the gap between them.
+    def table(lo, hi, n, f):
+        xs = np.linspace(lo, hi, n)
+        return table_density(xs, f(xs) + 0j)
+
+    overlap = BoundaryMeasure((), (table(-2.0, 1.0, 40, np.cos), table(0.0, 3.0, 50, np.exp)))
+    gap = BoundaryMeasure((), (table(-6.0, -4.0, 60, np.sin), table(4.0, 5.0, 30, np.cos)))
+    zs = _grid([-8.0, -5.0, -3.9, -2.0, 0.5, 1.0, 2.5, 4.5, 30.0, -500.0], [1.0, 1e-6, -1e-12])
+    for m in (overlap, gap):
+        err, far = _far_against_dense(m, zs)
+        assert err <= 1e-14 and far > 0
+    P = catalog._line_panels(gap)[0]
+    (_, ic), _ = catalog._plan(zs, P)
+    c, rho = P["tree"]["c"][ic], P["tree"]["rho"][ic]
+    assert np.any((c - rho < -4.0) & (c + rho > 4.0))
+
+
+def test_tail_and_circle_panels_keep_the_dense_sum(monkeypatch):
+    # Without a tree, every pair is summed as before the far field, bit for bit.
+    panel_sum, seen = catalog._panel_sum, []
+
+    def both(z, P, *rule):
+        seen.append((np.array(panel_sum(z, P, *rule)), _dense_panel_sum(z, P, *rule), P))
+        return seen[-1][0]
+
+    monkeypatch.setattr(catalog, "_panel_sum", both)
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(-30, 30, 300) + 1j * 10.0 ** rng.uniform(-12, 1, 300) * rng.choice([-1, 1], 300)
+    lorentz = DensityPart((-np.inf, np.inf),
+                          lambda x: (1.0 / (np.pi * (1.0 + np.asarray(x) ** 2))).astype(complex))
+    cauchy_eval(BoundaryMeasure((), (lorentz,)), 0.0, np.append(zs, [8 + 1e-12j, 1e12 + 1j]))
+    _disc_cosine(0.2j)((1.0 - 10.0 ** rng.uniform(-9, -0.2, 300)) * np.exp(1j * zs.real))
+    tails = [P["A"].any() for _, _, P in seen]
+    assert sorted(tails) == [False, False, True]
+    for got, want, P in seen:
+        if P["A"].any() or np.iscomplexobj(P["s"]):
+            assert np.array_equal(_bits(got), _bits(np.ascontiguousarray(want)))
+
+
+def test_far_field_cuts_the_terms_of_the_variation_check(tmp_path, monkeypatch):
+    # The points of the variation-bound check meet 256 panels, 3 840 terms
+    # each without a far field; a far pair counts _TERMS terms.
+    from herglotz.cli import main
+    plan, counts = catalog._plan, {"points": 0, "terms": 0}
+
+    def counted(z, P):
+        (fp, _), (ip, _) = out = plan(z, P)
+        counts["points"] += z.size
+        counts["terms"] += catalog._TERMS * fp.size + quadrature._XK.size * ip.size
+        return out
+
+    monkeypatch.setattr(catalog, "_plan", counted)
+    m = _variation_table()
+    (tmp_path / "m.json").write_text(json.dumps(measures.measure_to_json(m)))
+    (tmp_path / "c.json").write_text(json.dumps({"kind": "cauchy", "measure": "m.json"}))
+    assert main(["check", "variation-bound", "--spec", str(tmp_path / "c.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert counts["points"] > 1000
+    assert counts["terms"] <= 3840 / 10 * counts["points"]
+
+
+def test_moments_are_summed_only_for_the_clusters_a_point_takes(tan_fn, monkeypatch):
+    # The resynthesis of tan's reconstruction with its 1 002 poles, at 2i.
+    from herglotz import ReconstructionSpec, reconstruct
+    poles = tuple(np.pi * n / 2.0 for n in range(-1001, 1002, 2))
+    width = np.pi * 1002 / 2.0
+    res = reconstruct(tan_fn, ReconstructionSpec(window=(-width, width), sigma_points=poles,
+                                                 include_infinity=True, nodes_per_block=8))
+    line_panels, built = catalog._line_panels, []
+    monkeypatch.setattr(catalog, "_line_panels", lambda m: built.append(line_panels(m)) or built[-1])
+    z = np.array([2j])
+    cauchy_eval(res.measure, res.constant, z)
+    P = built[0][0]
+    (_, taken), _ = catalog._plan(z, P)
+    has = np.flatnonzero(P["tree"]["row"] >= 0)
+    assert taken.size and np.array_equal(np.sort(taken), has)
+    assert has.size < P["tree"]["row"].size
+
+
 _MIXED = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-12.0, 0.5), st.booleans(),
                             st.booleans()), min_size=2, max_size=12)
 
@@ -682,13 +833,16 @@ def _mixed_points(drawn):
                      for u, v, right, up in drawn])
 
 
-@settings(max_examples=20)
-@given(_MIXED, st.sampled_from([-0.7, 0.5, 0.3 + 0.4j]))
-def test_cauchy_values_do_not_depend_on_the_batch(drawn, p):
+@settings(max_examples=30)
+@given(_MIXED, st.sampled_from([-0.7, 0.5, 0.3 + 0.4j]), st.booleans())
+def test_cauchy_values_do_not_depend_on_the_batch(drawn, p, table):
     # Each point of a batch that mixes magnitudes is bit-equal to its value
     # alone; p = -0.7 with 1e-6 + 1e-12i in the batch once erred by 1e-5 at
-    # the other points.
+    # the other points.  The 256 panels of the variation table, drawn beside
+    # the power density, have far clusters that each side sums afresh.
     m, c = _power_measure(p)
+    if table:
+        m = BoundaryMeasure(_variation_table().atoms, m.densities + _variation_table().densities)
     zs = np.append(_mixed_points(drawn), 1e-6 + 1e-12j)
     batch = cauchy_eval(m, c, zs)
     single = np.array([cauchy_eval(m, c, z) for z in zs])

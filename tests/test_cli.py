@@ -172,6 +172,31 @@ def test_bad_number_flag_exits_1(tmp_path, capsys, power_half_spec, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "power", "p": 0.5},
+    {"kind": "power"},
+    [1],
+    {"kind": "rational", "a": [0.0, 0.0], "b": [0.0, 0.0], "poles": [0.0]},
+])
+def test_malformed_spec_exits_1(tmp_path, capsys, spec):
+    path = _write_spec(tmp_path / "f.json", spec)
+    assert main(["extract", "--spec", path, "--window=-1,1", "--out", str(tmp_path / "o")]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_reconstruct_refuses_real_probes_before_reconstructing(
+        tmp_path, capsys, monkeypatch, power_half_spec):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reconstruct ran")
+
+    monkeypatch.setattr("herglotz.cli.reconstruct", refuse)
+    assert main(["reconstruct", "--spec", power_half_spec, "--window=-1,1", "--probes=1,2j",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "error: probes must lie off the real line" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_extract_missing_spec_exits_1(tmp_path):
     assert main(["extract", "--spec", str(tmp_path / "nope.json"),
                  "--window=-1,1", "--out", str(tmp_path / "o")]) == 1
